@@ -39,12 +39,10 @@ from repro.rtc.sizing import SizingResult
 #: Version of the TaskSpec schema itself.  Bump on any change to the
 #: fields below or to their run semantics: the version participates in
 #: the digest, so old cache entries stop matching automatically.
-#: v2: ``exec_mode`` (step-machine vs generator execution core).
+#: v2: execution-core field (step machine vs generator).
 #: v3: ``recovery`` (closed-loop countermeasure manager).
-TASK_SCHEMA_VERSION = 3
-
-#: Valid ``exec_mode`` values (mirrors ``Simulator(exec_mode=...)``).
-EXEC_MODES = ("stepped", "generator")
+#: v4: execution-core field removed (the engine has one core).
+TASK_SCHEMA_VERSION = 4
 
 #: ``kind`` values.
 KIND_REFERENCE = "reference"
@@ -128,11 +126,6 @@ class TaskSpec:
     #: Ship raw consumer payloads back (results always carry per-token
     #: content hashes; raw values can be large for the video apps).
     keep_values: bool = False
-    #: Engine execution core: ``"stepped"`` (default, step machines) or
-    #: ``"generator"``.  Traces are byte-identical across modes (pinned
-    #: by the golden suite), but the mode still participates in the
-    #: digest: a cache entry records *how* its bytes were produced.
-    exec_mode: str = "stepped"
     #: Duplicated runs only: arm the closed-loop countermeasure manager
     #: (:mod:`repro.recovery`) on the detection log.
     recovery: Optional[RecoverySpec] = None
@@ -140,11 +133,6 @@ class TaskSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise TaskSpecError(f"unknown task kind {self.kind!r}")
-        if self.exec_mode not in EXEC_MODES:
-            raise TaskSpecError(
-                f"unknown exec_mode {self.exec_mode!r} "
-                f"(expected one of {EXEC_MODES})"
-            )
         if self.monitor is not None and not self.record_events:
             raise TaskSpecError("a monitor needs record_events=True")
         if self.validate and not self.record_events:
@@ -166,7 +154,6 @@ class TaskSpec:
         seed: int,
         sizing: Optional[SizingResult] = None,
         variant: int = 0,
-        exec_mode: str = "stepped",
     ) -> "TaskSpec":
         """A reference-network run of ``app`` (Figure 1, top)."""
         return cls(
@@ -175,7 +162,6 @@ class TaskSpec:
             seed=seed,
             sizing=sizing,
             variant=variant,
-            exec_mode=exec_mode,
             **_app_fields(app),
         )
 
@@ -194,7 +180,6 @@ class TaskSpec:
         monitor: Optional[DistanceMonitorSpec] = None,
         validate: bool = False,
         keep_values: bool = False,
-        exec_mode: str = "stepped",
         recovery: Optional[RecoverySpec] = None,
     ) -> "TaskSpec":
         """A duplicated-network run of ``app`` (Figure 1, bottom)."""
@@ -211,7 +196,6 @@ class TaskSpec:
             monitor=monitor,
             validate=validate,
             keep_values=keep_values,
-            exec_mode=exec_mode,
             recovery=recovery,
             **_app_fields(app),
         )
@@ -430,6 +414,11 @@ def spec_from_jsonable(data):
         for field_name in _TUPLE_FIELDS.get(name, ()):
             if isinstance(kwargs.get(field_name), list):
                 kwargs[field_name] = tuple(kwargs[field_name])
+        if cls is TaskSpec and kwargs.get("exec_mode") == "stepped":
+            # Schema-v3 documents (e.g. saved reproducers) name the
+            # execution core; "stepped" is the only one left, so the key
+            # is redundant.  Any other value still fails the constructor.
+            del kwargs["exec_mode"]
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as error:

@@ -86,7 +86,7 @@ class Delay(Operation):
     __slots__ = ("duration",)
 
     def __init__(self, duration: float) -> None:
-        if duration < 0:
+        if not duration >= 0:  # also rejects NaN
             raise ValueError(f"delay must be >= 0, got {duration}")
         self.duration = duration
 

@@ -2,8 +2,8 @@
 
 CPython resumes a generator by re-hydrating its suspended frame; at
 engine scale (one resume per yielded operation, millions per campaign)
-that frame traffic is the dominant simulator cost left after PR 6's
-calendar queue.  This module compiles each standard process shape from
+that frame traffic is the dominant simulator cost.  This module
+compiles each standard process shape from
 :mod:`repro.kpn.process` into an explicit *step machine*: a closure
 
     ``step(value, now) -> Operation | None``
@@ -47,7 +47,7 @@ the same order, the same RNG draw sequence, the same error messages.
 Processes without a hand-written machine (application shapes such as
 ``SplitStream``, baseline monitors, test processes) fall back to
 :func:`generator_stepfn`, a thin adapter over their ``behavior()``
-generator — stepped mode therefore runs *every* network, it is simply
+generator — the engine therefore runs *every* network, it is simply
 fastest for the shapes that dominate event counts.
 """
 

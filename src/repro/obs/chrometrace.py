@@ -126,43 +126,17 @@ def build_trace_events(obs) -> List[dict]:
 
     # -- counter tracks -----------------------------------------------------
     emitted_counter_meta = False
-
-    def _counter_meta() -> None:
-        nonlocal emitted_counter_meta
+    for name in obs.registry.names():
+        series = obs.registry.get(name)
+        if getattr(series, "kind", None) != "timeseries":
+            continue
         if not emitted_counter_meta:
             events.append({
                 "name": "process_name", "ph": "M", "pid": PID_COUNTERS,
                 "args": {"name": "channel telemetry"},
             })
             emitted_counter_meta = True
-
-    for name in obs.registry.names():
-        series = obs.registry.get(name)
-        if getattr(series, "kind", None) != "timeseries":
-            continue
-        _counter_meta()
         for time, value in zip(series.times, series.values):
-            events.append({
-                "name": name,
-                "ph": "C",
-                "pid": PID_COUNTERS,
-                "ts": time * _MS,
-                "args": {"value": value},
-            })
-
-    # Partitioned-engine event counters (``sim.partition.<i>.events``)
-    # carry one final value, not a series: render each as a two-point
-    # counter track (0 at run start, total at end of run) so Perfetto
-    # shows per-partition load side by side with the channel telemetry.
-    for name in obs.registry.names():
-        counter = obs.registry.get(name)
-        if getattr(counter, "kind", None) != "counter":
-            continue
-        if not (name.startswith("sim.partition.")
-                and name.endswith(".events")):
-            continue
-        _counter_meta()
-        for time, value in ((0.0, 0), (end_of_run, counter.value)):
             events.append({
                 "name": name,
                 "ph": "C",

@@ -75,6 +75,18 @@ class TestRoundTrip:
                                tmp_path / "deep" / "er" / "r.json")
         assert path.exists()
 
+    def test_loads_reproducer_naming_the_stepped_core(self, tmp_path):
+        # Reproducers written while TaskSpec still carried an execution
+        # core name it in both task specs; "stepped" is the only core
+        # left, so such files must keep loading.
+        original = _reproducer()
+        path = save_reproducer(original, tmp_path / "r.json")
+        document = json.loads(path.read_text())
+        for label in ("reference", "duplicated"):
+            document["tasks"][label]["exec_mode"] = "stepped"
+        path.write_text(json.dumps(document))
+        assert load_reproducer(path) == original
+
 
 class TestRecovery:
     """Every rot mode raises ReproducerError — nothing else."""
@@ -156,6 +168,14 @@ class TestRecovery:
         path = self._saved(tmp_path)
         document = json.loads(path.read_text())
         document["tasks"]["duplicated"] = {"bogus": True}
+        path.write_text(json.dumps(document))
+        with pytest.raises(ReproducerError, match="duplicated"):
+            load_reproducer(path)
+
+    def test_generator_core_task_spec_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        document = json.loads(path.read_text())
+        document["tasks"]["duplicated"]["exec_mode"] = "generator"
         path.write_text(json.dumps(document))
         with pytest.raises(ReproducerError, match="duplicated"):
             load_reproducer(path)

@@ -26,6 +26,7 @@ from repro.apps.mjpeg import MjpegDecoderApp
 from repro.apps.synthetic import SyntheticApp
 from repro.experiments.runner import fault_time_for, run_duplicated
 from repro.faults.models import FAIL_STOP, RATE_DEGRADE, FaultSpec
+from repro.kpn import stepmachine
 from repro.kpn.tracefile import recorder_to_dict
 from repro.recovery import RecoverySpec
 
@@ -106,16 +107,12 @@ def _scenarios():
     }
 
 
-def _trace_bytes(builder, obs=None, **run_kwargs) -> bytes:
-    """Run one scenario and serialise its traces canonically.
-
-    ``run_kwargs`` select the engine configuration under test
-    (``exec_mode`` / ``partitioned`` / ``kernel``).
-    """
+def _trace_bytes(builder, obs=None) -> bytes:
+    """Run one scenario and serialise its traces canonically."""
     app, tokens, seed, fault, recovery = builder()
     run = run_duplicated(app, tokens, seed, fault=fault,
                          sizing=app.sizing(), record_events=True, obs=obs,
-                         recovery=recovery, **run_kwargs)
+                         recovery=recovery)
     payload = recorder_to_dict(run.network.network.recorder)
     # Canonical form: sorted keys, repr-exact floats, no whitespace
     # variation — byte-identity then means event-stream identity.
@@ -178,67 +175,50 @@ def test_repeated_runs_are_byte_identical():
     assert _trace_bytes(builder) == _trace_bytes(builder)
 
 
-def _compiled_kernel_available() -> bool:
-    from repro.kpn import kernel
-
-    return kernel.available()
-
-
-#: Engine configurations that must all reproduce the goldens
-#: byte-for-byte: both execution cores, each with and without
-#: partitioned batch advance, and the compiled drive kernel when built.
-#: ``kernel="pure"`` pins the pure-Python loops even when the extension
-#: is importable, so the pure path stays covered on kernel-enabled CI.
-_ENGINE_MODES = {
-    "stepped-pure": dict(exec_mode="stepped", kernel="pure"),
-    "stepped-partitioned": dict(exec_mode="stepped", partitioned=True,
-                                kernel="pure"),
-    "generator": dict(exec_mode="generator"),
-    "generator-partitioned": dict(exec_mode="generator", partitioned=True),
-    "stepped-compiled": dict(exec_mode="stepped", kernel="compiled"),
-}
+#: The two ways the engine can run a standard process: its hand-written
+#: step machine (``stepped``), or its ``behavior()`` generator through
+#: the adapter (``generator``).  The generators are the reference
+#: semantics the machines are checked against.
+_CORES = ("stepped", "generator")
 
 
-def _engine_mode_params():
-    for mode, kwargs in _ENGINE_MODES.items():
-        marks = []
-        if kwargs.get("kernel") == "compiled":
-            marks.append(pytest.mark.skipif(
-                not _compiled_kernel_available(),
-                reason="compiled kernel not built "
-                       "(REPRO_BUILD_CKERNEL=1 python setup.py "
-                       "build_ext --inplace)",
-            ))
-        yield pytest.param(kwargs, id=mode, marks=marks)
+def _select_core(core, monkeypatch) -> None:
+    """Force every process through the generator adapter for
+    ``core == "generator"`` (an empty compiler table leaves
+    :func:`~repro.kpn.stepmachine.compile_stepfn` no machine to pick)."""
+    if core == "generator":
+        monkeypatch.setattr(stepmachine, "_COMPILERS", {})
 
 
-@pytest.mark.parametrize("engine_kwargs", _engine_mode_params())
+@pytest.mark.parametrize("core", _CORES)
 @pytest.mark.parametrize("name", sorted(_scenarios()))
-def test_all_engine_modes_match_goldens(name, engine_kwargs):
-    """Execution mode, partitioning and the compiled kernel are pure
-    optimisations: every configuration must reproduce the golden event
-    stream byte-for-byte (the DESIGN.md admissibility criterion)."""
+def test_all_engine_modes_match_goldens(name, core, monkeypatch):
+    """The step machines are a pure optimisation of the generators:
+    both must reproduce the golden event stream byte-for-byte (the
+    DESIGN.md admissibility criterion), and hence each other."""
+    _select_core(core, monkeypatch)
     golden_path = os.path.join(GOLDEN_DIR, f"{name}.json")
     with open(golden_path, "rb") as handle:
         golden = handle.read()
-    assert _trace_bytes(_scenarios()[name], **engine_kwargs) == golden, (
-        f"scenario {name}: engine configuration {engine_kwargs} produced "
-        "a different event stream — determinism regression"
+    assert _trace_bytes(_scenarios()[name]) == golden, (
+        f"scenario {name}: the {core} core produced a different event "
+        "stream — determinism regression"
     )
 
 
-@pytest.mark.parametrize("engine_kwargs", _engine_mode_params())
+@pytest.mark.parametrize("core", _CORES)
 @pytest.mark.parametrize("name", sorted(_scenarios()))
-def test_streaming_telemetry_matches_goldens(name, engine_kwargs,
+def test_streaming_telemetry_matches_goldens(name, core, monkeypatch,
                                              tmp_path):
-    """Full telemetry + the streaming observability stack, across every
-    engine configuration: an enabled registry/timeline, a live run
-    ledger appending records around the run, and the mergeable snapshot
-    built from the run's reduced outputs must leave the event stream
-    byte-identical to the seed engine."""
+    """Full telemetry + the streaming observability stack, on both
+    cores: an enabled registry/timeline, a live run ledger appending
+    records around the run, and the mergeable snapshot built from the
+    run's reduced outputs must leave the event stream byte-identical to
+    the seed engine."""
     from repro.obs import LedgerWriter, Observability, read_ledger
     from repro.obs.sketch import MetricsSnapshot
 
+    _select_core(core, monkeypatch)
     golden_path = os.path.join(GOLDEN_DIR, f"{name}.json")
     with open(golden_path, "rb") as handle:
         golden = handle.read()
@@ -246,7 +226,7 @@ def test_streaming_telemetry_matches_goldens(name, engine_kwargs,
     with LedgerWriter(tmp_path / "run.ledger") as ledger:
         ledger.sweep_start(1, jobs=1)
         ledger.task_submitted(0, "duplicated")
-        trace = _trace_bytes(_scenarios()[name], obs=obs, **engine_kwargs)
+        trace = _trace_bytes(_scenarios()[name], obs=obs)
         snap = MetricsSnapshot()
         snap.count("sim.events")
         snap.observe("detect.latency_ms", 1.0)
@@ -255,7 +235,7 @@ def test_streaming_telemetry_matches_goldens(name, engine_kwargs,
         ledger.sweep_end({"tasks": 1})
     assert trace == golden, (
         f"scenario {name}: streaming telemetry perturbed the event "
-        f"stream under engine configuration {engine_kwargs}"
+        f"stream on the {core} core"
     )
     assert read_ledger(tmp_path / "run.ledger").ok
 

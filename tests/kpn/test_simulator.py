@@ -58,6 +58,25 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        with pytest.raises(ValueError):
+            Delay(float("nan"))
+
+    def test_nan_time_rejected(self):
+        # NaN passes every "< now" past-time guard; scheduled anyway it
+        # would fire mid-run and poison ``sim.now``.
+        sim = Simulator()
+        fired = []
+        for time in (1.0, 3.0, 5.0):
+            sim.schedule_at(time, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1.0, 3.0, 5.0]
+        assert sim.now == 5.0
+
     def test_tie_breaking_is_fifo(self):
         sim = Simulator()
         order = []

@@ -15,6 +15,7 @@ from repro.kpn.process import (
     Process,
     RecordingSink,
 )
+from repro.kpn import stepmachine
 from repro.kpn.simulator import Simulator
 from repro.kpn.stepmachine import compile_stepfn
 from repro.kpn.tracefile import recorder_to_dict
@@ -83,21 +84,36 @@ class TestCompileStepfn:
         assert generator is not None
 
 
+def force_generator_adapter(monkeypatch):
+    """Route every process through its ``behavior()`` generator."""
+    monkeypatch.setattr(stepmachine, "_COMPILERS", {})
+
+
 class TestExecModeEquivalence:
-    def test_stepped_and_generator_traces_byte_identical(self):
+    """Hand-written machines against their generator reference."""
+
+    def test_stepped_and_generator_traces_byte_identical(self, monkeypatch):
         net_s, snk_s = pipeline()
-        net_s.run(exec_mode="stepped", kernel="pure")
+        net_s.run()
+        force_generator_adapter(monkeypatch)
         net_g, snk_g = pipeline()
-        net_g.run(exec_mode="generator")
+        net_g.run()
         assert snk_s.records == snk_g.records
         assert trace_bytes(net_s) == trace_bytes(net_g)
 
     def test_stepped_is_default(self):
-        assert Simulator().exec_mode == "stepped"
+        net, _snk = pipeline()
+        sim = net.instantiate()
+        for name in net.processes:
+            assert sim.handle(name).generator is None, name
 
-    def test_generator_mode_still_runs(self):
+    def test_generator_mode_still_runs(self, monkeypatch):
+        force_generator_adapter(monkeypatch)
         net, snk = pipeline(tokens=5)
-        _sim, stats = net.run(exec_mode="generator")
+        sim = net.instantiate()
+        for name in net.processes:
+            assert sim.handle(name).generator is not None, name
+        stats = sim.run()
         assert len(snk.records) == 5
         assert stats.events > 0
 
@@ -106,57 +122,12 @@ class TestExecModeEquivalence:
             def behavior(self):
                 yield "not-an-operation"
 
-        sim = Simulator(exec_mode="stepped")
+        sim = Simulator()
         sim.register(Bad("bad"))
         with pytest.raises(ProtocolError):
             sim.run()
 
-
-class TestModeValidation:
-    def test_unknown_exec_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(exec_mode="vectorized")
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(kernel="jit")
-
-    def test_compiled_kernel_requires_stepped_mode(self):
-        with pytest.raises(ValueError):
-            Simulator(exec_mode="generator", kernel="compiled")
-
-    def test_compiled_kernel_unavailable_raises(self, monkeypatch):
-        from repro.kpn import kernel
-
-        monkeypatch.setattr(kernel, "DRIVE", None)
-        with pytest.raises(RuntimeError):
-            Simulator(kernel="compiled")
-
-
-class TestKernelSelection:
-    def test_pure_kernel_runs_and_matches_auto(self):
-        net_p, snk_p = pipeline()
-        net_p.run(kernel="pure")
-        net_a, snk_a = pipeline()
-        net_a.run(kernel="auto")
-        assert snk_p.records == snk_a.records
-        assert trace_bytes(net_p) == trace_bytes(net_a)
-
-    def test_compiled_kernel_matches_pure_when_built(self):
-        from repro.kpn import kernel
-
-        if not kernel.available():
-            pytest.skip("compiled kernel not built")
-        net_c, snk_c = pipeline()
-        net_c.run(kernel="compiled")
-        net_p, snk_p = pipeline()
-        net_p.run(kernel="pure")
-        assert snk_c.records == snk_p.records
-        assert trace_bytes(net_c) == trace_bytes(net_p)
-
-    def test_kernel_defers_to_pure_loop_under_observation(self):
-        # A transition hook makes the run observed; the compiled kernel
-        # must hand over to the pure loop and still finish the run.
+    def test_transition_hook_observes_whole_run(self):
         net, snk = pipeline(tokens=6)
         sim = net.instantiate()
         transitions = []
@@ -165,4 +136,6 @@ class TestKernelSelection:
         )
         sim.run()
         assert len(snk.records) == 6
-        assert transitions
+        assert {kind for _t, _p, kind, _d in transitions} >= {
+            "start", "compute", "done"
+        }

@@ -1,18 +1,21 @@
-"""Property tests: execution modes are observationally equivalent.
+"""Property tests: step machines are observationally equivalent to the
+generators they replace.
 
-The step-machine core, the partitioned batch advance and the compiled
-drive kernel are admissible only if they never change observable
-behaviour (DESIGN.md determinism policy).  The golden suite pins seven
-fixed scenarios; these properties search the space of *random* linear
-pipelines — random PJD timings, stage mixes, capacities and seeds —
-and require the complete per-channel event streams to be byte-identical
-across engine configurations.
+The hand-written step machines are admissible only if they never change
+observable behaviour (DESIGN.md determinism policy).  The golden suite
+pins nine fixed scenarios; these properties search the space of
+*random* linear pipelines — random PJD timings, stage mixes, capacities
+and seeds — and require the complete per-channel event streams to be
+byte-identical whether each process runs as its machine or through the
+``behavior()`` generator adapter.
 """
 
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.kpn import stepmachine
 from repro.kpn.network import Network
 from repro.kpn.process import (
     FunctionProcess,
@@ -79,9 +82,9 @@ def build_pipeline(spec):
     return net, consumer
 
 
-def run_trace(spec, **kwargs):
+def run_trace(spec):
     net, consumer = build_pipeline(spec)
-    net.run(max_events=20_000, **kwargs)
+    net.run(max_events=20_000)
     payload = recorder_to_dict(net.recorder)
     blob = json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode()
@@ -90,24 +93,8 @@ def run_trace(spec, **kwargs):
 
 @given(pipeline_specs())
 def test_stepped_equals_generator(spec):
-    stepped = run_trace(spec, exec_mode="stepped", kernel="pure")
-    generator = run_trace(spec, exec_mode="generator")
+    stepped = run_trace(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stepmachine, "_COMPILERS", {})
+        generator = run_trace(spec)
     assert stepped == generator
-
-
-@given(pipeline_specs())
-def test_partitioned_equals_interleaved(spec):
-    partitioned = run_trace(spec, partitioned=True, kernel="pure")
-    interleaved = run_trace(spec, partitioned=False, kernel="pure")
-    assert partitioned == interleaved
-
-
-@given(pipeline_specs())
-def test_compiled_kernel_equals_pure(spec):
-    from repro.kpn import kernel
-
-    if not kernel.available():
-        return  # nothing to differentiate without the extension
-    compiled = run_trace(spec, kernel="compiled")
-    pure = run_trace(spec, kernel="pure")
-    assert compiled == pure
