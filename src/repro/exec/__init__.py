@@ -41,15 +41,12 @@ from repro.exec.taskspec import (
     TaskSpec,
     TaskSpecError,
     build_app,
-    presolve_sizings,
     spec_from_jsonable,
     spec_to_jsonable,
 )
 from repro.exec.worker import (
     execute_task,
-    presolve_chunk,
     run_chunk,
-    worker_solver_context,
 )
 
 __all__ = [
@@ -75,8 +72,6 @@ __all__ = [
     "build_app",
     "execute_task",
     "fork_available",
-    "presolve_chunk",
-    "presolve_sizings",
     "hash_values",
     "run_chunk",
     "run_sweep",
@@ -84,5 +79,4 @@ __all__ = [
     "spec_from_jsonable",
     "spec_to_jsonable",
     "warm_parent",
-    "worker_solver_context",
 ]

@@ -9,10 +9,10 @@ how (or whether) the tasks ran in parallel:
 * ``jobs > 1`` — a persistent :class:`~repro.exec.pool.WorkerPool` fans
   chunks of tasks across cores.  The pool **survives across runs**: a
   campaign or table harness that calls :meth:`run` repeatedly pays fork
-  startup once, and workers keep their warm per-process solver state
-  (:func:`~repro.exec.worker.worker_solver_context`) from batch to
-  batch.  Close the executor (or use it as a context manager) when done;
-  one-shot :func:`run_sweep` calls do this automatically.
+  startup once, and workers keep their warm per-process sizing memo
+  from batch to batch.  Close the executor (or use it as a context
+  manager) when done; one-shot :func:`run_sweep` calls do this
+  automatically.
 
 Before anything executes, the batch is **scheduled**:
 
@@ -22,17 +22,14 @@ Before anything executes, the batch is **scheduled**:
 2. *Bulk cache consult* — with a :class:`~repro.exec.cache.ResultCache`
    attached, the unique digests are looked up in one pass; hits (and
    their duplicates) never reach the pool.
-3. *Parallel presolve* — specs still lacking a solved sizing are fanned
-   across the pool (:func:`~repro.exec.worker.presolve_chunk`), sharing
-   per-worker warm-start hints, instead of solving serially in the
-   parent.  Digests are always computed from the *original* specs, so
-   presolving never perturbs cache keys.
-4. *Sizing-group ordering + adaptive chunking* — tasks are ordered so
-   chunk-mates pose the same sizing problem (warm solver state hits),
-   then chunked to a target of :data:`TARGET_CHUNK_S` seconds using an
-   EWMA of measured per-task latency that persists across batches;
-   an explicit ``chunksize`` overrides, and the first-ever batch falls
+3. *Adaptive chunking* — the remaining tasks, in input order, are
+   chunked to a target of :data:`TARGET_CHUNK_S` seconds using an EWMA
+   of measured per-task latency that persists across batches; an
+   explicit ``chunksize`` overrides, and the first-ever batch falls
    back to the static :data:`_CHUNK_WAVES` heuristic.
+
+A spec shipped without a solved sizing is sized where it executes
+(:func:`~repro.exec.worker.execute_task`); its digest is the spec's own.
 
 Progress is observable through a
 :class:`~repro.obs.metrics.MetricsRegistry` (``sweep.*`` counters and
@@ -53,7 +50,6 @@ results (see DESIGN.md §11 for the shared-result determinism rule).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -62,7 +58,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.pool import WorkerPool, fork_available
 from repro.exec.results import TaskResult
 from repro.exec.taskspec import TaskSpec
-from repro.exec.worker import execute_task, presolve_chunk, run_chunk
+from repro.exec.worker import execute_task, run_chunk
 
 #: Chunks per worker per sweep for the *first* batch (no latency data
 #: yet): larger spreads load, smaller amortises IPC better.
@@ -94,8 +90,6 @@ class SweepStats:
     deduped: int = 0
     #: Distinct content digests in the batch (== tasks when dedup off).
     unique: int = 0
-    #: Sizings solved by the executor's presolve pass.
-    presolved: int = 0
     errors: int = 0
     jobs: int = 1
     #: Chunk size the pool actually used (0 = inline / nothing pending).
@@ -110,7 +104,6 @@ class SweepStats:
             "cache_hits": self.cache_hits,
             "deduped": self.deduped,
             "unique": self.unique,
-            "presolved": self.presolved,
             "errors": self.errors,
             "jobs": self.jobs,
             "chunksize": self.chunksize,
@@ -158,7 +151,6 @@ class SweepExecutor:
         #: EWMA of measured per-task wall time, persisted across runs —
         #: the adaptive chunker's latency estimate.
         self.ewma_task_s: Optional[float] = None
-        self._solver_context = None
         self._done = 0
         # Fleet-wide mergeable aggregate over every result this executor
         # has seen (cache hits included); reset per run().
@@ -247,17 +239,12 @@ class SweepExecutor:
                 pending.append(index)
 
         try:
-            if pending:
-                use_pool = (
-                    self.jobs > 1 and len(pending) > 1 and _fork_available()
-                )
-                exec_specs = self._presolve(specs, pending, stats, use_pool)
-                if use_pool:
-                    self._run_pool(specs, exec_specs, pending, digests,
-                                   followers, results, stats)
-                else:
-                    self._run_inline(specs, exec_specs, pending, digests,
-                                     followers, results, stats)
+            if self.jobs > 1 and len(pending) > 1 and _fork_available():
+                self._run_pool(specs, pending, digests, followers, results,
+                               stats)
+            else:
+                self._run_inline(specs, pending, digests, followers, results,
+                                 stats)
         finally:
             if not self.persistent:
                 self.close()
@@ -270,70 +257,6 @@ class SweepExecutor:
         return results  # type: ignore[return-value]
 
     # -- scheduling --------------------------------------------------------
-
-    def _presolve(self, specs, pending, stats, use_pool):
-        """Attach solved sizings to pending specs that lack one.
-
-        Returns ``{index: spec-to-execute}`` — presolved copies where a
-        solve happened, the original spec otherwise.  Digests were
-        computed from the originals before this runs, so cache keys are
-        unaffected; warm solves are bit-identical to cold ones, so
-        results are unaffected too.
-        """
-        exec_specs = {index: specs[index] for index in pending}
-        unsized = [
-            index for index in pending if specs[index].sizing is None
-        ]
-        if not unsized:
-            return exec_specs
-        stats.presolved = len(unsized)
-        if use_pool and len(unsized) > 1:
-            order = self._sizing_order(specs, unsized)
-            chunksize = max(1, -(-len(order) // self.jobs))
-            payloads = [
-                [(index, specs[index]) for index in order[at:at + chunksize]]
-                for at in range(0, len(order), chunksize)
-            ]
-            self._ensure_pool()
-            for _, solved in self.pool.map_chunks(presolve_chunk, payloads):
-                for index, sizing in solved:
-                    exec_specs[index] = dataclasses.replace(
-                        specs[index], sizing=sizing
-                    )
-        else:
-            context = self._parent_solver_context()
-            for index in unsized:
-                from repro.exec.taskspec import build_app
-
-                sizing = build_app(specs[index]).sizing(context=context)
-                exec_specs[index] = dataclasses.replace(
-                    specs[index], sizing=sizing
-                )
-        return exec_specs
-
-    def _parent_solver_context(self):
-        if self._solver_context is None:
-            from repro.rtc.sizing import SolverContext
-
-            self._solver_context = SolverContext()
-        return self._solver_context
-
-    @staticmethod
-    def _sizing_order(specs, pending):
-        """Pending indices, stably grouped by sizing problem.
-
-        Groups are ordered by first occurrence and indices stay sorted
-        inside each group, so the ordering is a pure function of the
-        spec list — chunk-mates share warm solver state without the
-        schedule depending on timing.
-        """
-        first_seen: Dict[str, int] = {}
-        for index in pending:
-            first_seen.setdefault(specs[index].sizing_group(), index)
-        return sorted(
-            pending,
-            key=lambda i: (first_seen[specs[i].sizing_group()], i),
-        )
 
     def _chunksize(self, n: int, workers: int) -> int:
         """Tasks per chunk for a batch of ``n`` pending tasks.
@@ -364,23 +287,21 @@ class SweepExecutor:
 
     # -- execution paths ---------------------------------------------------
 
-    def _run_inline(self, specs, exec_specs, pending, digests,
-                    followers, results, stats) -> None:
+    def _run_inline(self, specs, pending, digests, followers, results,
+                    stats) -> None:
         for index in pending:
-            result = execute_task(exec_specs[index])
+            result = execute_task(specs[index])
             self._complete(index, specs, digests, followers,
                            result, stats, results)
 
-    def _run_pool(self, specs, exec_specs, pending, digests,
-                  followers, results, stats) -> None:
+    def _run_pool(self, specs, pending, digests, followers, results,
+                  stats) -> None:
         workers = min(self.jobs, len(pending))
-        order = self._sizing_order(specs, pending)
-        chunksize = self._chunksize(len(order), workers)
+        chunksize = self._chunksize(len(pending), workers)
         stats.chunksize = chunksize
         chunks = [
-            [(index, exec_specs[index])
-             for index in order[at:at + chunksize]]
-            for at in range(0, len(order), chunksize)
+            [(index, specs[index]) for index in pending[at:at + chunksize]]
+            for at in range(0, len(pending), chunksize)
         ]
         self._ensure_pool()
         for _, chunk_results in self.pool.map_chunks(run_chunk, chunks):
@@ -392,7 +313,7 @@ class SweepExecutor:
     def _complete(self, index, specs, digests, followers,
                   result, stats, results) -> None:
         """Bookkeeping for one freshly executed leader: persist to the
-        cache (under the original spec's digest), account it, and
+        cache (under its digest), account it, and
         resolve every follower sharing its digest."""
         if self.cache is not None and digests[index] is not None:
             self.cache.put(digests[index], result)
@@ -468,7 +389,6 @@ class SweepExecutor:
         self.registry.counter("sweep.errors").inc(stats.errors)
         self.registry.counter("sweep.dedup.unique").inc(stats.unique)
         self.registry.counter("sweep.dedup.duplicates").inc(stats.deduped)
-        self.registry.counter("sweep.presolve.solved").inc(stats.presolved)
         if self.pool is not None:
             pool_stats = self.pool.stats()
             self.registry.gauge("sweep.pool.forks").set(pool_stats["forks"])

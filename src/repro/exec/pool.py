@@ -4,17 +4,10 @@ A :class:`WorkerPool` is a process pool that **survives across sweep
 batches**: the :class:`~repro.exec.executor.SweepExecutor` that owns one
 keeps it alive from one ``run()`` to the next, so campaign rounds, table
 sweeps and DSE generations stop paying fork/import startup per batch and
-start accumulating **per-worker warm state** instead:
-
-* the pool forks (copy-on-write) from a parent that has already been
-  *warmed* — :func:`warm_parent` pre-imports the experiment stack and
-  materializes the application registry, so every worker is born with
-  the hot modules resident and the global RTC memos it inherits;
-* each worker process keeps a long-lived
-  :class:`~repro.rtc.sizing.SolverContext`
-  (:func:`repro.exec.worker.worker_solver_context`) that warms across
-  chunks *and across batches* — repeated sizing solves in a campaign
-  hit the same per-worker memo round after round.
+start from a warm parent instead: :func:`warm_parent` pre-imports the
+experiment stack and materializes the application registry before the
+first fork, so every worker is born (copy-on-write) with the hot modules
+resident and the global RTC memos it inherits.
 
 Lifecycle is explicit: :meth:`close` (or the context-manager form)
 shuts the workers down; an unclosed pool is also torn down defensively
@@ -28,9 +21,8 @@ was not yet consumed when the pool broke merely re-executes to the
 identical result.
 
 The pool itself is task-agnostic: :meth:`map_chunks` ships arbitrary
-``(fn, payload)`` work.  The executor uses it for both task chunks
-(:func:`repro.exec.worker.run_chunk`) and parallel presolve chunks
-(:func:`repro.exec.worker.presolve_chunk`).
+``(fn, payload)`` work; the executor sends it task chunks
+(:func:`repro.exec.worker.run_chunk`).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.rtc.curves import (
 )
 from repro.rtc.pjd import PJD, PJDLowerCurve, PJDUpperCurve
 from repro.rtc.minplus import (
-    clear_curve_op_caches,
     max_plus_convolution,
     min_plus_convolution,
     min_plus_deconvolution,
@@ -44,7 +43,6 @@ from repro.rtc.service import (
 )
 from repro.rtc.sizing import (
     SizingResult,
-    SolverContext,
     detection_latency_bound,
     detection_latency_bound_fail_stop,
     divergence_threshold,
@@ -64,7 +62,6 @@ __all__ = [
     "PJD",
     "PJDLowerCurve",
     "PJDUpperCurve",
-    "clear_curve_op_caches",
     "max_plus_convolution",
     "min_plus_convolution",
     "min_plus_deconvolution",
@@ -78,7 +75,6 @@ __all__ = [
     "horizontal_deviation",
     "vertical_deviation",
     "SizingResult",
-    "SolverContext",
     "detection_latency_bound",
     "detection_latency_bound_fail_stop",
     "divergence_threshold",

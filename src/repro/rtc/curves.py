@@ -414,7 +414,6 @@ def infimum_crossing(
     curve: Curve,
     level: float,
     horizon: Optional[float] = None,
-    start_horizon: Optional[float] = None,
 ) -> float:
     """Compute ``inf { delta >= 0 | curve(delta) >= level }``.
 
@@ -422,14 +421,6 @@ def infimum_crossing(
     scan horizon and its long-run rate is zero (it never will); raises
     :class:`CurveError` when the horizon is exhausted but the rate is
     positive (the caller passed too small a horizon).
-
-    ``start_horizon`` warm-starts the automatic-horizon search: a caller
-    that solved a similar crossing before (see
-    :class:`~repro.rtc.sizing.SolverContext`) passes the horizon that
-    sufficed then, skipping the geometric expansion rounds.  The result
-    is unaffected: curves are staircases, so the first scan point at or
-    above ``level`` is the same breakpoint under any horizon that
-    contains it, and an insufficient hint simply expands as usual.
     """
     if level <= 0:
         return 0.0
@@ -440,8 +431,6 @@ def infimum_crossing(
             horizon = max(curve.suggested_horizon(), 2.0 * level / rate)
         else:
             horizon = curve.suggested_horizon()
-        if start_horizon is not None and start_horizon > horizon:
-            horizon = start_horizon
     # With an automatic horizon, a positive-rate curve must eventually
     # cross; expand geometrically until it does.
     attempts = 8 if auto_horizon else 1

@@ -17,20 +17,14 @@ staircases, so this sampling is exact within the horizon) and the result is
 returned as a :class:`~repro.rtc.curves.PiecewiseConstantCurve` with a
 linear tail at the appropriate combined rate.
 
-All three operators are memoized on ``(f, g, horizon)``.  Curves define no
-``__eq__``, so the key is *object identity* — cheap, collision-free, and
-correct because curves are immutable views of immutable models.  Identity
-keying only pays off when equal models yield the same curve object, which
-:meth:`repro.rtc.pjd.PJD.upper`/``lower`` guarantee.  The caches hold
-strong references to their keys, so a cached curve's ``id`` can never be
-recycled while an entry is alive.  :func:`clear_curve_op_caches` drops all
-entries (useful for memory-sensitive sweeps and cache-behaviour tests).
+The operators are not memoized: the Section 3.4 sizing never calls them,
+and the service-curve analyses that do (:mod:`repro.rtc.service`) are
+one-shot design-time computations.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import List, Tuple
 
 from repro.rtc.curves import EPS, Curve, PiecewiseConstantCurve
@@ -71,29 +65,10 @@ def min_plus_convolution(
 
     The result is the tightest upper arrival curve of a stream that must
     satisfy both ``f`` and ``g`` (e.g. combining a long-term rate bound with
-    a burst bound).  Memoized on ``(f, g, horizon)`` identity (see module
-    docstring).
+    a burst bound).
     """
     if horizon is None:
         horizon = _default_horizon(f, g)
-    try:
-        return _min_plus_convolution_cached(f, g, horizon)
-    except TypeError:
-        # Unhashable operand (a custom curve defining __eq__ without
-        # __hash__): compute uncached.
-        return _min_plus_convolution_impl(f, g, horizon)
-
-
-@lru_cache(maxsize=256)
-def _min_plus_convolution_cached(
-    f: Curve, g: Curve, horizon: float
-) -> PiecewiseConstantCurve:
-    return _min_plus_convolution_impl(f, g, horizon)
-
-
-def _min_plus_convolution_impl(
-    f: Curve, g: Curve, horizon: float
-) -> PiecewiseConstantCurve:
     grid = _sample_grid(f, g, horizon)
     values_f = {p: f.value(p) for p in grid}
     values_g = {p: g.value(p) for p in grid}
@@ -124,8 +99,7 @@ def min_plus_deconvolution(
     arrival-curve bound used when propagating models through a subnetwork.
     The supremum over the shift variable is scanned up to ``horizon``; the
     operands must satisfy ``f.long_run_rate() <= g.long_run_rate()`` for the
-    result to be finite.  Memoized on ``(f, g, horizon)`` identity (see
-    module docstring).
+    result to be finite.
     """
     if horizon is None:
         horizon = _default_horizon(f, g)
@@ -133,22 +107,6 @@ def min_plus_deconvolution(
         raise ValueError(
             "deconvolution is unbounded: f's long-run rate exceeds g's"
         )
-    try:
-        return _min_plus_deconvolution_cached(f, g, horizon)
-    except TypeError:
-        return _min_plus_deconvolution_impl(f, g, horizon)
-
-
-@lru_cache(maxsize=256)
-def _min_plus_deconvolution_cached(
-    f: Curve, g: Curve, horizon: float
-) -> PiecewiseConstantCurve:
-    return _min_plus_deconvolution_impl(f, g, horizon)
-
-
-def _min_plus_deconvolution_impl(
-    f: Curve, g: Curve, horizon: float
-) -> PiecewiseConstantCurve:
     shift_grid = _sample_grid(f, g, horizon)
     eval_grid = _sample_grid(f, g, horizon)
     steps: List[Tuple[float, float]] = []
@@ -176,27 +134,10 @@ def max_plus_convolution(
 
     Used to compose lower (guarantee) curves: the output of a component with
     lower service ``g`` fed a stream with lower arrival curve ``f`` is lower
-    bounded by ``f (+) g`` in the max-plus sense.  Memoized on
-    ``(f, g, horizon)`` identity (see module docstring).
+    bounded by ``f (+) g`` in the max-plus sense.
     """
     if horizon is None:
         horizon = _default_horizon(f, g)
-    try:
-        return _max_plus_convolution_cached(f, g, horizon)
-    except TypeError:
-        return _max_plus_convolution_impl(f, g, horizon)
-
-
-@lru_cache(maxsize=256)
-def _max_plus_convolution_cached(
-    f: Curve, g: Curve, horizon: float
-) -> PiecewiseConstantCurve:
-    return _max_plus_convolution_impl(f, g, horizon)
-
-
-def _max_plus_convolution_impl(
-    f: Curve, g: Curve, horizon: float
-) -> PiecewiseConstantCurve:
     grid = _sample_grid(f, g, horizon)
     steps: List[Tuple[float, float]] = []
     for delta in grid:
@@ -211,14 +152,3 @@ def _max_plus_convolution_impl(
     tail_rate = max(f.long_run_rate(), g.long_run_rate())
     return PiecewiseConstantCurve(_dedupe_steps(steps), tail_rate=tail_rate)
 
-
-def clear_curve_op_caches() -> None:
-    """Drop every memoized curve-operation result.
-
-    The caches key on curve identity and hold strong references to their
-    operands; long parameter sweeps over many distinct models can clear
-    them periodically to bound memory.
-    """
-    _min_plus_convolution_cached.cache_clear()
-    _min_plus_deconvolution_cached.cache_clear()
-    _max_plus_convolution_cached.cache_clear()

@@ -62,6 +62,10 @@ class PJD:
     min_distance: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("period", "jitter", "min_distance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if self.jitter < 0:
@@ -84,9 +88,8 @@ class PJD:
     def upper(self) -> "PJDUpperCurve":
         """The upper arrival curve ``alpha_u`` of this model.
 
-        Equal models return the *same* curve object: curves hash by
-        identity, so a stable object per PJD value is what lets the
-        memoized operators in :mod:`repro.rtc.minplus` hit their caches.
+        Equal models return the *same* curve object (one memoized curve
+        per PJD value), so repeated sizings of a Table 1 model share it.
         """
         return _upper_curve(self)
 

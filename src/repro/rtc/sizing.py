@@ -40,124 +40,10 @@ def _ceil_int(value: float) -> int:
     return int(math.ceil(value - EPS))
 
 
-class SolverContext:
-    """Warm-start state for repeated RTC solving (sweeps, batch sizing).
-
-    A sweep sizes hundreds of near-identical interface-model tuples.  A
-    shared context turns that repetition into three layers of reuse:
-
-    * **full-result memo** — identical ``size_duplicated_network`` calls
-      return a cached :class:`SizingResult` (each caller gets a fresh
-      copy, as with the global memo);
-    * **supremum memo** — Eq. 3/4/5 suprema are memoised on the curve
-      *objects* (identity keys: equal PJD models share curve instances
-      via :meth:`repro.rtc.pjd.PJD.upper`/``lower``, and the memo holds
-      strong references so ids cannot be recycled);
-    * **crossing hints** — Eq. 6-8 ``infimum_crossing`` searches are
-      warm-started with the horizon that sufficed for the same
-      ``(curve, level)`` before, skipping the geometric horizon
-      expansion.  Hints never change results (see
-      :func:`~repro.rtc.curves.infimum_crossing`), so a context-assisted
-      solve is bit-identical to a cold one.
-
-    Contexts are cheap, single-threaded, and intentionally *not* shared
-    across processes: parallel sweeps solve in the parent with one
-    context and ship plain :class:`SizingResult` data to workers (see
-    :func:`repro.exec.taskspec.presolve_sizings`).
-
-    ``stats()`` feeds the ``rtc.ctx.*`` observability gauges.
-    """
-
-    __slots__ = (
-        "results",
-        "sup_memo",
-        "crossing_hints",
-        "result_hits",
-        "result_misses",
-        "sup_hits",
-        "sup_misses",
-        "crossing_warm",
-        "crossing_cold",
-    )
-
-    def __init__(self) -> None:
-        self.results: Dict = {}
-        self.sup_memo: Dict = {}
-        self.crossing_hints: Dict = {}
-        self.result_hits = 0
-        self.result_misses = 0
-        self.sup_hits = 0
-        self.sup_misses = 0
-        self.crossing_warm = 0
-        self.crossing_cold = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss counters for reporting."""
-        return {
-            "result_hits": self.result_hits,
-            "result_misses": self.result_misses,
-            "sup_hits": self.sup_hits,
-            "sup_misses": self.sup_misses,
-            "crossing_warm": self.crossing_warm,
-            "crossing_cold": self.crossing_cold,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"SolverContext(results={self.result_hits}/"
-            f"{self.result_hits + self.result_misses} hits, "
-            f"sup={self.sup_hits}/{self.sup_hits + self.sup_misses} hits, "
-            f"crossings warm={self.crossing_warm})"
-        )
-
-
-def _sup_difference(
-    upper: Curve,
-    lower: Curve,
-    horizon: Optional[float],
-    context: Optional[SolverContext],
-) -> float:
-    """``supremum_difference`` through the context's identity-keyed memo."""
-    if context is None:
-        return supremum_difference(upper, lower, horizon)
-    key = (upper, lower, horizon)
-    memo = context.sup_memo
-    value = memo.get(key)
-    if value is not None:
-        context.sup_hits += 1
-        return value
-    context.sup_misses += 1
-    value = supremum_difference(upper, lower, horizon)
-    memo[key] = value
-    return value
-
-
-def _crossing(
-    curve: Curve,
-    level: float,
-    horizon: Optional[float],
-    context: Optional[SolverContext],
-) -> float:
-    """``infimum_crossing`` warm-started from the context's hints."""
-    if context is None or horizon is not None:
-        return infimum_crossing(curve, level, horizon)
-    key = (curve, level)
-    hint = context.crossing_hints.get(key)
-    if hint is not None:
-        context.crossing_warm += 1
-    else:
-        context.crossing_cold += 1
-    result = infimum_crossing(curve, level, start_horizon=hint)
-    if math.isfinite(result):
-        context.crossing_hints[key] = result
-    return result
-
-
 def fifo_capacity(
     producer_upper: Curve,
     consumer_lower: Curve,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> int:
     """Eq. 3: smallest ``|F|`` with ``alpha_P^u(d) <= alpha_in^l(d) + |F|``.
 
@@ -167,8 +53,7 @@ def fifo_capacity(
     alpha_in^l)``.  Raises :class:`~repro.rtc.curves.CurveError` if the
     producer's long-run rate exceeds the consumer's (no finite FIFO works).
     """
-    backlog = _sup_difference(producer_upper, consumer_lower, horizon,
-                              context)
+    backlog = supremum_difference(producer_upper, consumer_lower, horizon)
     return max(_ceil_int(backlog), 1)
 
 
@@ -176,15 +61,14 @@ def initial_fill(
     consumer_upper: Curve,
     replica_out_lower: Curve,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> int:
     """Eq. 4: smallest pre-fill so the consumer never stalls.
 
     ``alpha_out^l(d) >= alpha_C^u(d) - F_0`` for all ``d`` rearranges to
     ``F_0 = sup (alpha_C^u - alpha_out^l)``, rounded up to whole tokens.
     """
-    deficit = _sup_difference(consumer_upper, replica_out_lower, horizon,
-                              context)
+    deficit = supremum_difference(consumer_upper, replica_out_lower,
+                                  horizon)
     return max(_ceil_int(deficit), 0)
 
 
@@ -192,7 +76,6 @@ def divergence_threshold(
     upper_curves: Sequence[Curve],
     lower_curves: Sequence[Curve],
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> int:
     """Eq. 5: smallest integer ``D`` strictly exceeding the fault-free
     divergence between any ordered replica pair.
@@ -212,8 +95,8 @@ def divergence_threshold(
         for j in range(count):
             if i == j:
                 continue
-            gap = _sup_difference(
-                upper_curves[i], lower_curves[j], horizon, context
+            gap = supremum_difference(
+                upper_curves[i], lower_curves[j], horizon
             )
             if gap > worst:
                 worst = gap
@@ -227,7 +110,6 @@ def detection_latency_bound(
     threshold: int,
     faulty_upper: Optional[Curve] = None,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> float:
     """Eq. 6: worst-case detection latency for one (healthy, faulty) pair.
 
@@ -241,7 +123,7 @@ def detection_latency_bound(
         raise ValueError("threshold D must be >= 1")
     required = 2 * threshold - 1
     if faulty_upper is None or isinstance(faulty_upper, ZeroCurve):
-        return _crossing(healthy_lower, required, horizon, context)
+        return infimum_crossing(healthy_lower, required, horizon)
     difference = _difference_curve(healthy_lower, faulty_upper)
     return infimum_crossing(difference, required, horizon)
 
@@ -264,7 +146,6 @@ def detection_latency_bound_fail_stop(
     lower_curves: Sequence[Curve],
     threshold: int,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> float:
     """Eq. 8: worst-case detection latency when the faulty replica stops
     producing altogether — the maximum over healthy replicas of the window
@@ -276,8 +157,7 @@ def detection_latency_bound_fail_stop(
         raise ValueError("threshold D must be >= 1")
     required = 2 * threshold - 1
     return max(
-        _crossing(curve, required, horizon, context)
-        for curve in lower_curves
+        infimum_crossing(curve, required, horizon) for curve in lower_curves
     )
 
 
@@ -286,7 +166,6 @@ def replicator_blocking_bound(
     capacity: int,
     faulty_in_upper: Optional[Curve] = None,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> float:
     """Worst-case latency of the replicator's occupancy-based detection.
 
@@ -302,7 +181,7 @@ def replicator_blocking_bound(
         raise ValueError("capacity must be >= 1")
     required = capacity + 1
     if faulty_in_upper is None:
-        return _crossing(producer_lower, required, horizon, context)
+        return infimum_crossing(producer_lower, required, horizon)
     difference = _difference_curve(producer_lower, faulty_in_upper)
     return infimum_crossing(difference, required, horizon)
 
@@ -372,7 +251,6 @@ def size_duplicated_network(
     replica_outputs: Sequence[PJD],
     consumer: PJD,
     horizon: Optional[float] = None,
-    context: Optional[SolverContext] = None,
 ) -> SizingResult:
     """Run the full Section 3.4 computation for a duplicated network.
 
@@ -389,56 +267,24 @@ def size_duplicated_network(
     :class:`SizingResult` copy, so mutating a result cannot poison the
     cache.
 
-    The memo is per-process and never shared writable across workers:
-    multiprocess sweeps (:mod:`repro.exec`) solve the sizing once in the
-    parent and ship the resulting :class:`SizingResult` (plain picklable
-    data) inside each task spec, so pool workers neither re-run the
-    solver nor touch this cache; workers forked after a parent-side
-    solve additionally inherit the warm memo for any ad-hoc calls.
-
-    With ``context`` (a :class:`SolverContext`), memoisation and
-    warm-starting run through the caller-owned context instead of the
-    global memo — the batch-sizing path for sweeps.  Results are
-    bit-identical either way.
+    The memo is per-process.  Sweep specs carry their solved
+    :class:`SizingResult` (plain picklable data), so pool workers only
+    solve for specs shipped without one; workers forked after a
+    parent-side solve inherit the warm memo.
     """
-    if context is not None:
-        try:
-            key = (
-                producer,
-                tuple(replica_inputs),
-                tuple(replica_outputs),
-                consumer,
-                horizon,
-            )
-            cached = context.results.get(key)
-        except TypeError:
-            return _size_duplicated_network_impl(
-                producer, replica_inputs, replica_outputs, consumer,
-                horizon, context,
-            )
-        if cached is not None:
-            context.result_hits += 1
-        else:
-            context.result_misses += 1
-            cached = _size_duplicated_network_impl(
-                producer, replica_inputs, replica_outputs, consumer,
-                horizon, context,
-            )
-            context.results[key] = cached
-        return replace(cached, details=dict(cached.details))
+    key = (
+        producer,
+        tuple(replica_inputs),
+        tuple(replica_outputs),
+        consumer,
+        horizon,
+    )
     try:
-        cached = _size_duplicated_network_cached(
-            producer,
-            tuple(replica_inputs),
-            tuple(replica_outputs),
-            consumer,
-            horizon,
-        )
+        hash(key)
     except TypeError:
         # Unhashable stand-in models (e.g. test doubles): compute uncached.
-        return _size_duplicated_network_impl(
-            producer, replica_inputs, replica_outputs, consumer, horizon
-        )
+        return _size_duplicated_network_impl(*key)
+    cached = _size_duplicated_network_cached(*key)
     return replace(cached, details=dict(cached.details))
 
 
@@ -461,7 +307,6 @@ def _size_duplicated_network_impl(
     replica_outputs: Sequence[PJD],
     consumer: PJD,
     horizon: Optional[float],
-    context: Optional[SolverContext] = None,
 ) -> SizingResult:
     if len(replica_inputs) != 2 or len(replica_outputs) != 2:
         raise ValueError("exactly two replicas are supported (paper setup)")
@@ -469,11 +314,11 @@ def _size_duplicated_network_impl(
     consumer_upper, _consumer_lower = consumer.curves()
 
     replicator_caps = tuple(
-        fifo_capacity(producer_upper, model.lower(), horizon, context)
+        fifo_capacity(producer_upper, model.lower(), horizon)
         for model in replica_inputs
     )
     initial_fills = tuple(
-        initial_fill(consumer_upper, model.lower(), horizon, context)
+        initial_fill(consumer_upper, model.lower(), horizon)
         for model in replica_outputs
     )
     # The per-interface selector bound must hold the common priming fill
@@ -483,26 +328,23 @@ def _size_duplicated_network_impl(
     priming = max(initial_fills)
     selector_caps = tuple(
         priming
-        + fifo_capacity(model.upper(), consumer.lower(), horizon, context)
+        + fifo_capacity(model.upper(), consumer.lower(), horizon)
         for model in replica_outputs
     )
     selector_threshold = divergence_threshold(
         [model.upper() for model in replica_outputs],
         [model.lower() for model in replica_outputs],
         horizon,
-        context,
     )
     replicator_threshold = divergence_threshold(
         [model.upper() for model in replica_inputs],
         [model.lower() for model in replica_inputs],
         horizon,
-        context,
     )
     selector_bound = detection_latency_bound_fail_stop(
         [model.lower() for model in replica_outputs],
         selector_threshold,
         horizon,
-        context,
     )
     # The paper computes the replicator-side bound "analogously" to the
     # selector (Eq. 8 on the replica input curves); the occupancy-based
@@ -511,11 +353,10 @@ def _size_duplicated_network_impl(
         [model.lower() for model in replica_inputs],
         replicator_threshold,
         horizon,
-        context,
     )
     blocking_bounds = {
         f"replicator_blocking_bound_R{k + 1}": replicator_blocking_bound(
-            producer_lower, cap, None, horizon, context
+            producer_lower, cap, None, horizon
         )
         for k, cap in enumerate(replicator_caps)
     }

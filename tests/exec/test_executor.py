@@ -540,24 +540,17 @@ class TestPresolve:
         unsized = [TaskSpec.reference(app, 40, seed) for seed in (1, 2)]
         sized = [TaskSpec.reference(app, 40, seed, sizing=app.sizing())
                  for seed in (1, 2)]
-        executor = SweepExecutor()
-        results = executor.run(unsized)
-        assert executor.stats.presolved == len(unsized)
+        results = SweepExecutor().run(unsized)
         baseline = run_sweep(sized)
         assert [_strip(r) for r in results] == [_strip(r) for r in baseline]
-
-    def test_presized_specs_skip_presolve(self, specs):
-        executor = SweepExecutor()
-        executor.run(specs)
-        assert executor.stats.presolved == 0
 
     def test_presolve_does_not_perturb_cache_keys(self, app, tmp_path):
         unsized = [TaskSpec.reference(app, 40, seed) for seed in (1, 2)]
         SweepExecutor(cache=ResultCache(tmp_path)).run(unsized)
         warm = SweepExecutor(cache=ResultCache(tmp_path))
         warm.run(unsized)
-        # Digests come from the *original* specs, so the presolved copy
-        # never leaks into the cache key.
+        # The worker-side sizing solve never touches the spec, so the
+        # cache key is the unsized spec's own digest.
         assert warm.stats.cache_hits == len(unsized)
         assert warm.stats.executed == 0
 
@@ -567,12 +560,4 @@ class TestPresolve:
         serial = run_sweep(unsized, jobs=1)
         with SweepExecutor(jobs=2) as executor:
             pooled = executor.run(unsized)
-        assert executor.stats.presolved == len(unsized)
         assert [_strip(r) for r in serial] == [_strip(r) for r in pooled]
-
-    def test_presolve_counter_reaches_registry(self, app):
-        registry = MetricsRegistry()
-        unsized = [TaskSpec.reference(app, 40, seed) for seed in (1, 2)]
-        run_sweep(unsized, registry=registry)
-        snapshot = registry.snapshot()
-        assert snapshot["sweep.presolve.solved"]["value"] == 2

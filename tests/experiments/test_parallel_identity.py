@@ -84,63 +84,6 @@ class TestCachedReplay:
         assert serial == parallel
 
 
-class TestSolverContextIdentity:
-    """Warm-start pre-solving must be invisible in the results.
-
-    ``presolve_sizings`` attaches parent-side solved sizings through a
-    shared :class:`~repro.rtc.sizing.SolverContext`; the executed results
-    must be byte-identical to cold per-worker solving, serial or parallel.
-    """
-
-    def test_presolved_specs_identical_to_cold(self, app, tmp_path):
-        import dataclasses
-
-        from repro.exec import presolve_sizings
-        from repro.rtc.sizing import SolverContext
-
-        specs = table2_specs(app, runs=RUNS, warmup_tokens=WARMUP,
-                             post_tokens=POST)
-        # table2_specs pre-attaches sizings; strip them to exercise the
-        # batch pre-solve path from cold specs.
-        stripped = [dataclasses.replace(s, sizing=None) for s in specs]
-        context = SolverContext()
-        presolved = presolve_sizings(stripped, context)
-        assert all(s.sizing is not None for s in presolved)
-        # The shared context actually warm-started: repeated interface
-        # tuples hit the memo after the first solve.
-        stats = context.stats()
-        assert stats["result_hits"] > 0
-
-        cold = SweepExecutor(jobs=1)
-        warm = SweepExecutor(jobs=2)
-        cold_results = cold.run(specs)
-        warm_results = warm.run(presolved)
-        def canonical(results):
-            payload = []
-            for result in results:
-                entry = dataclasses.asdict(result)
-                # Wall clock, worker identity and the wall-time-derived
-                # metrics snapshot are observability-only: not
-                # deterministic across serial/pooled executions.
-                entry.pop("wall_time_s")
-                entry.pop("worker")
-                entry.pop("metrics")
-                payload.append(entry)
-            return json.dumps(payload, sort_keys=True, default=str)
-
-        assert canonical(cold_results) == canonical(warm_results)
-
-    def test_presolve_respects_existing_sizing(self, app):
-        from repro.exec import presolve_sizings
-
-        specs = table2_specs(app, runs=1, warmup_tokens=WARMUP,
-                             post_tokens=POST)
-        first = presolve_sizings(specs)
-        again = presolve_sizings(first)
-        # Already-sized specs pass through untouched (same objects).
-        assert all(a is b for a, b in zip(first, again))
-
-
 class TestExecutionMatrix:
     """The PR 9 acceptance matrix: every combination of chunking mode,
     worker count and dedup must be byte-identical to the plain serial

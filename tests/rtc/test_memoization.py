@@ -1,6 +1,7 @@
-"""Cache-behaviour tests for the memoized curve operations."""
+"""Cache-behaviour tests for the PJD curve and sizing memos."""
 
-from repro.rtc import clear_curve_op_caches, min_plus_convolution
+import pytest
+
 from repro.rtc.pjd import PJD
 from repro.rtc.sizing import size_duplicated_network
 
@@ -17,31 +18,6 @@ class TestCurveIdentity:
 
     def test_distinct_pjds_get_distinct_curves(self):
         assert PJD(10.0, 1.0).upper() is not PJD(10.0, 2.0).upper()
-
-
-class TestOperatorCache:
-    def test_cached_result_is_reused(self):
-        f = PJD(10.0, 2.0, 1.0).upper()
-        g = PJD(12.0, 1.0, 1.0).upper()
-        first = min_plus_convolution(f, g, horizon=100.0)
-        second = min_plus_convolution(f, g, horizon=100.0)
-        assert first is second
-
-    def test_horizon_is_part_of_the_key(self):
-        f = PJD(10.0, 2.0, 1.0).upper()
-        g = PJD(12.0, 1.0, 1.0).upper()
-        assert min_plus_convolution(f, g, horizon=100.0) is not (
-            min_plus_convolution(f, g, horizon=120.0)
-        )
-
-    def test_clear_curve_op_caches(self):
-        f = PJD(10.0, 2.0, 1.0).upper()
-        g = PJD(12.0, 1.0, 1.0).upper()
-        first = min_plus_convolution(f, g, horizon=100.0)
-        clear_curve_op_caches()
-        second = min_plus_convolution(f, g, horizon=100.0)
-        assert first is not second
-        assert first.value(55.0) == second.value(55.0)
 
 
 class TestSizingCache:
@@ -63,3 +39,31 @@ class TestSizingCache:
         )
         b = size_duplicated_network(PRODUCER, REPLICAS, REPLICAS, CONSUMER)
         assert a == b
+
+    def test_solver_type_error_is_not_retried_uncached(self):
+        class Stub:
+            """A hashable stand-in model whose curves() raises TypeError."""
+
+            calls = 0
+
+            def curves(self):
+                Stub.calls += 1
+                raise TypeError("broken model")
+
+        stub = Stub()
+        with pytest.raises(TypeError, match="broken model"):
+            size_duplicated_network(stub, (stub, stub), (stub, stub), stub)
+        assert Stub.calls == 1
+
+    def test_unhashable_models_are_sized_uncached(self):
+        class Unhashable:
+            __hash__ = None
+
+            def curves(self):
+                return PRODUCER.curves()
+
+        producer = Unhashable()
+        result = size_duplicated_network(producer, REPLICAS, REPLICAS,
+                                         CONSUMER)
+        assert result == size_duplicated_network(PRODUCER, REPLICAS,
+                                                 REPLICAS, CONSUMER)

@@ -28,6 +28,18 @@ class TestPjdValidation:
         with pytest.raises(ValueError):
             PJD(10.0, 0.0, 11.0)
 
+    @pytest.mark.parametrize("args", [
+        (math.nan,),
+        (10.0, math.nan),
+        (10.0, 1.0, math.nan),
+        (math.inf,),
+        (10.0, math.inf),
+        (10.0, 1.0, -math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            PJD(*args)
+
     def test_jitter_may_exceed_period(self):
         model = PJD(10.0, 25.0, 10.0)
         assert model.jitter == 25.0

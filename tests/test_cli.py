@@ -24,6 +24,20 @@ class TestParsePjd:
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_pjd("0,0,0")
 
+    @pytest.mark.parametrize("text", ["nan,6,1", "40,nan,1", "40,6,nan",
+                                      "inf,6,1"])
+    def test_non_finite_model(self, text):
+        import argparse
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            _parse_pjd(text)
+
+    def test_non_finite_model_exits_with_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sizing", "--producer", "40,4,1",
+                  "--replica1", "nan,6,1", "--replica2", "40,8,1"])
+        assert exit_info.value.code == 2
+        assert "period must be finite" in capsys.readouterr().err
+
 
 class TestSizingCommand:
     def test_app_sizing(self, capsys):
