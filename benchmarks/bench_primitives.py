@@ -16,7 +16,10 @@ from repro.kpn.network import Network
 from repro.kpn.process import PeriodicConsumer, PeriodicSource
 from repro.kpn.tokens import Token
 from repro.rtc.pjd import PJD
-from repro.rtc.sizing import size_duplicated_network
+from repro.rtc.sizing import (
+    _size_duplicated_network_cached,
+    size_duplicated_network,
+)
 
 
 def test_selector_write_read_cycle(benchmark):
@@ -113,6 +116,24 @@ def test_sizing_solver(benchmark):
                                        producer)
 
     sizing = benchmark(solve)
+    assert sizing.replicator_capacities == (2, 3)
+
+
+def test_sizing_solver_cold(benchmark):
+    """A cold ``size_duplicated_network`` solve: the sizing memo is
+    cleared before each round, so this times the Eq. 3-8 solvers rather
+    than a memo hit (which is what ``test_sizing_solver`` measures)."""
+    producer = PJD(30.0, 2.0, 30.0)
+    replicas = [PJD(30.0, 5.0, 30.0), PJD(30.0, 30.0, 30.0)]
+
+    def solve():
+        return size_duplicated_network(producer, replicas, replicas,
+                                       producer)
+
+    sizing = benchmark.pedantic(
+        solve, setup=_size_duplicated_network_cached.cache_clear,
+        rounds=50,
+    )
     assert sizing.replicator_capacities == (2, 3)
 
 

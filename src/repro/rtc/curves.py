@@ -23,13 +23,17 @@ Two solvers operate on curves:
 Both exploit the fact that staircase curves only change value at *breakpoint*
 window lengths, so a supremum/infimum over continuous ``delta`` reduces to a
 scan over finitely many candidates plus a long-run-rate argument for the
-tail beyond the scan horizon.
+tail beyond the scan horizon.  The scan is one :meth:`Curve.values` call
+over a numpy array of candidates; closed-form curves evaluate it in bulk,
+bit-identically to their scalar :meth:`Curve.value`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Tolerance used when comparing floating-point window lengths.
 EPS = 1e-9
@@ -42,6 +46,19 @@ NUDGE = 1e-6
 #: Default number of long-run periods the breakpoint scan covers when the
 #: caller does not give an explicit horizon.
 DEFAULT_HORIZON_PERIODS = 64
+
+
+def sorted_unique(points: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d float array, in increasing order.
+
+    Equivalent to ``np.unique(points)``, which on first use imports
+    ``numpy.ma`` (about 2 MB of resident memory) for a masked-array check
+    that plain arrays never need.
+    """
+    points = np.sort(points)
+    keep = np.ones(points.size, dtype=bool)
+    np.not_equal(points[1:], points[:-1], out=keep[1:])
+    return points[keep]
 
 
 class CurveError(ValueError):
@@ -59,6 +76,18 @@ class Curve:
     def value(self, delta: float) -> float:
         """Return the bound for a window of length ``delta`` (>= 0)."""
         raise NotImplementedError
+
+    def values(self, deltas: np.ndarray) -> np.ndarray:
+        """Return :meth:`value` at every window length in ``deltas``.
+
+        :func:`supremum_difference` and :func:`infimum_crossing` evaluate
+        curves through this method only.  The default maps :meth:`value`;
+        closed-form curves override it with array arithmetic, and an
+        override must equal the scalar :meth:`value` element for element,
+        bit for bit.
+        """
+        return np.array([self.value(delta) for delta in deltas.tolist()],
+                        dtype=float)
 
     def breakpoints(self, horizon: float) -> List[float]:
         """Return the window lengths in ``[0, horizon]`` where the curve may
@@ -186,6 +215,9 @@ class ZeroCurve(Curve):
 
     def value(self, delta: float) -> float:
         return 0.0
+
+    def values(self, deltas: np.ndarray) -> np.ndarray:
+        return np.zeros(len(deltas))
 
     def breakpoints(self, horizon: float) -> List[float]:
         return [0.0]
@@ -340,7 +372,7 @@ class PiecewiseConstantCurve(Curve):
 
 def _candidate_points(
     upper: Curve, lower: Curve, horizon: float
-) -> List[float]:
+) -> np.ndarray:
     """Candidate window lengths where ``upper - lower`` may attain its sup.
 
     The difference of two staircases changes only at a jump of either curve.
@@ -349,23 +381,21 @@ def _candidate_points(
     over the preceding interval is attained *just before* the lower's jump.
     We therefore evaluate at every breakpoint and just before each.
     """
-    merged = set()
-    for point in upper.breakpoints(horizon):
-        merged.add(point)
-        merged.add(point + NUDGE)
-    for point in lower.breakpoints(horizon):
-        merged.add(max(point - NUDGE, 0.0))
-        merged.add(point)
-    merged.add(0.0)
-    merged.add(horizon)
-    ordered = sorted(p for p in merged if -EPS <= p <= horizon + EPS)
+    upper_points = np.asarray(upper.breakpoints(horizon), dtype=float)
+    lower_points = np.asarray(lower.breakpoints(horizon), dtype=float)
+    merged = sorted_unique(np.concatenate((
+        upper_points,
+        upper_points + NUDGE,
+        np.maximum(lower_points - NUDGE, 0.0),
+        lower_points,
+        (0.0, horizon),
+    )))
+    ordered = merged[(merged >= -EPS) & (merged <= horizon + EPS)]
     # The maximum can live strictly between two breakpoints closer
     # together than the nudge (e.g. curves with near-zero jitter), so
     # probe every gap's midpoint as well.
-    with_midpoints = list(ordered)
-    for left, right in zip(ordered, ordered[1:]):
-        with_midpoints.append((left + right) / 2.0)
-    return sorted(with_midpoints)
+    midpoints = (ordered[:-1] + ordered[1:]) / 2.0
+    return np.concatenate((ordered, midpoints))
 
 
 def supremum_difference(
@@ -402,12 +432,9 @@ def supremum_difference(
         return math.inf
     if horizon is None:
         horizon = max(upper.suggested_horizon(), lower.suggested_horizon())
-    best = 0.0
-    for point in _candidate_points(upper, lower, horizon):
-        difference = upper.value(point) - lower.value(point)
-        if difference > best:
-            best = difference
-    return best
+    points = _candidate_points(upper, lower, horizon)
+    differences = upper.values(points) - lower.values(points)
+    return max(0.0, float(differences.max()))
 
 
 def infimum_crossing(
@@ -435,11 +462,11 @@ def infimum_crossing(
     # cross; expand geometrically until it does.
     attempts = 8 if auto_horizon else 1
     for _ in range(attempts):
-        points = set(curve.breakpoints(horizon))
-        points.add(horizon)
-        for point in sorted(points):
-            if curve.value(point) >= level - EPS:
-                return point
+        points = sorted_unique(np.append(curve.breakpoints(horizon),
+                                         horizon))
+        crossed = np.flatnonzero(curve.values(points) >= level - EPS)
+        if crossed.size:
+            return float(points[crossed[0]])
         if curve.long_run_rate() <= EPS:
             return math.inf
         horizon *= 2.0

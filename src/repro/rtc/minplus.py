@@ -71,7 +71,6 @@ def min_plus_convolution(
         horizon = _default_horizon(f, g)
     grid = _sample_grid(f, g, horizon)
     values_f = {p: f.value(p) for p in grid}
-    values_g = {p: g.value(p) for p in grid}
     steps: List[Tuple[float, float]] = []
     for delta in grid:
         best = math.inf
@@ -84,7 +83,6 @@ def min_plus_convolution(
             if candidate < best:
                 best = candidate
         steps.append((delta, best))
-        _ = values_g  # grid cache for symmetry; g sampled off-grid above
     tail_rate = min(f.long_run_rate(), g.long_run_rate())
     return PiecewiseConstantCurve(_dedupe_steps(steps), tail_rate=tail_rate)
 
@@ -107,12 +105,11 @@ def min_plus_deconvolution(
         raise ValueError(
             "deconvolution is unbounded: f's long-run rate exceeds g's"
         )
-    shift_grid = _sample_grid(f, g, horizon)
-    eval_grid = _sample_grid(f, g, horizon)
+    grid = _sample_grid(f, g, horizon)
     steps: List[Tuple[float, float]] = []
-    for delta in eval_grid:
+    for delta in grid:
         best = -math.inf
-        for shift in shift_grid:
+        for shift in grid:
             candidate = f.value(delta + shift) - g.value(shift)
             if candidate > best:
                 best = candidate

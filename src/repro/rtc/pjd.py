@@ -17,7 +17,10 @@ analysis - the SymTA/S approach"):
 * lower:  ``alpha_l(delta) = max( floor((delta - j) / p), 0 )``.
 
 Both are staircases; breakpoints are enumerable exactly, which the solvers
-in :mod:`repro.rtc.curves` rely on.
+in :mod:`repro.rtc.curves` rely on.  Each curve evaluates its closed form
+on a scalar (:meth:`~repro.rtc.curves.Curve.value`) and on a numpy array
+(:meth:`~repro.rtc.curves.Curve.values`) with the same operations in the
+same order, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List
 
-from repro.rtc.curves import EPS, NUDGE, Curve
+import numpy as np
+
+from repro.rtc.curves import EPS, NUDGE, Curve, sorted_unique
 
 
 def _ceil(value: float) -> int:
@@ -38,6 +43,19 @@ def _ceil(value: float) -> int:
 def _floor(value: float) -> int:
     """Floor with a tolerance so that 2.9999999999 -> 3, not 2."""
     return int(math.floor(value + EPS))
+
+
+def _grid(start: int, step: float, offset: float,
+          horizon: float) -> np.ndarray:
+    """``k * step + offset`` for ``k = start, start + 1, ...`` while the
+    point stays within ``horizon + EPS``.
+
+    The points are non-decreasing in ``k``, so cutting at the first one
+    beyond the horizon keeps exactly the points that pass the bound.
+    """
+    stop = max(start, int(math.floor((horizon + EPS - offset) / step)) + 2)
+    points = np.arange(start, stop) * step + offset
+    return points[:np.searchsorted(points, horizon + EPS, side="right")]
 
 
 @dataclass(frozen=True)
@@ -157,30 +175,30 @@ class PJDUpperCurve(Curve):
             bound = min(bound, _ceil(delta / model.min_distance) + 1)
         return float(max(bound, 0))
 
+    def values(self, deltas: np.ndarray) -> np.ndarray:
+        model = self._model
+        bound = np.ceil((deltas + model.jitter) / model.period - EPS)
+        if model.jitter > 0:
+            bound = np.maximum(bound,
+                               np.floor(deltas / model.period + EPS) + 1)
+        if model.min_distance > 0:
+            bound = np.minimum(
+                bound, np.ceil(deltas / model.min_distance - EPS) + 1
+            )
+        return np.where((deltas > EPS) & (bound > 0), bound, 0.0)
+
     def breakpoints(self, horizon: float) -> List[float]:
         model = self._model
-        points = {0.0}
-        # Jumps of ceil((delta + j)/p): delta = k*p - j for integer k.
-        k = max(1, _ceil(self._model.jitter / model.period))
-        while True:
-            point = k * model.period - model.jitter
-            if point > horizon + EPS:
-                break
-            if point > 0:
-                points.add(point)
-            k += 1
+        # Jumps of ceil((delta + j)/p): delta = k*p - j for integer k
+        # (adding -j rounds exactly as subtracting j does).
+        start = max(1, _ceil(model.jitter / model.period))
+        jitter_jumps = _grid(start, model.period, -model.jitter, horizon)
+        parts = [(0.0, NUDGE), jitter_jumps[jitter_jumps > 0]]
         # Jumps of ceil(delta/d) + 1: delta = k*d.
         if model.min_distance > 0:
-            k = 1
-            while True:
-                point = k * model.min_distance
-                if point > horizon + EPS:
-                    break
-                points.add(point)
-                k += 1
-        # The curve jumps from 0 at delta -> 0+.
-        points.add(NUDGE)
-        return sorted(points)
+            parts.append(_grid(1, model.min_distance, 0.0, horizon))
+        # NUDGE: the curve jumps from 0 at delta -> 0+.
+        return sorted_unique(np.concatenate(parts)).tolist()
 
     def long_run_rate(self) -> float:
         return self._model.rate
@@ -215,18 +233,19 @@ class PJDLowerCurve(Curve):
             bound = min(bound, _ceil(delta / model.period) - 1)
         return float(max(bound, 0))
 
+    def values(self, deltas: np.ndarray) -> np.ndarray:
+        model = self._model
+        bound = np.floor((deltas - model.jitter) / model.period + EPS)
+        if model.jitter > 0:
+            bound = np.minimum(bound,
+                               np.ceil(deltas / model.period - EPS) - 1)
+        return np.where((deltas > EPS) & (bound > 0), bound, 0.0)
+
     def breakpoints(self, horizon: float) -> List[float]:
         model = self._model
-        points = {0.0}
         # Jumps of floor((delta - j)/p): delta = k*p + j for integer k >= 1.
-        k = 1
-        while True:
-            point = k * model.period + model.jitter
-            if point > horizon + EPS:
-                break
-            points.add(point)
-            k += 1
-        return sorted(points)
+        jumps = _grid(1, model.period, model.jitter, horizon)
+        return sorted_unique(np.concatenate(((0.0,), jumps))).tolist()
 
     def long_run_rate(self) -> float:
         return self._model.rate

@@ -29,6 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.rtc.curves import (
     EPS,
+    NUDGE,
     Curve,
     DerivedCurve,
     PiecewiseConstantCurve,
@@ -94,7 +95,9 @@ def horizontal_deviation(upper: Curve, service: Curve,
     worst = 0.0
     points = sorted(set(upper.breakpoints(horizon)) | {horizon})
     for t in points:
-        demand = upper.value(t + 1e-9)
+        # Probe just after the jump; an offset within EPS would be
+        # swallowed by the staircase's evaluation tolerance.
+        demand = upper.value(t + NUDGE)
         if demand <= 0:
             continue
         # Find the earliest time the service curve reaches the demand.

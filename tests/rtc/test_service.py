@@ -66,6 +66,36 @@ class TestDeviations:
         beta = RateLatencyServiceCurve(rate=0.1)
         assert backlog_bound(alpha, beta) == -1
 
+    @pytest.mark.parametrize("model, rate, latency, expected", [
+        (PJD(10.0, 25.0, 0.0), 0.1, 3.0, 38.0),
+        (PJD(2.0, 5.0, 0.0), 0.5, 3.0, 10.0),
+    ])
+    def test_delay_bound_sees_jumps_of_long_periods(self, model, rate,
+                                                    latency, expected):
+        # The delay is worst just after an upper-curve jump (here at
+        # k*p - j); the probe there must step past the curve's EPS
+        # tolerance, or jumps of periods >= 1 are missed.
+        beta = RateLatencyServiceCurve(rate, latency)
+        assert delay_bound(model.upper(), beta) == pytest.approx(
+            expected, abs=1e-6)
+
+    @pytest.mark.parametrize("model, rate, latency", [
+        (PJD(10.0, 25.0, 0.0), 0.1, 3.0),
+        (PJD(2.0, 5.0, 0.0), 0.5, 3.0),
+        (PJD(10.0, 20.0, 2.0), 0.15, 1.0),
+        (PJD(7.0, 3.0, 7.0), 0.2, 2.5),
+    ])
+    def test_delay_bound_covers_dense_sweep(self, model, rate, latency):
+        # h(alpha_u, beta) against a dense sweep of t: the demand
+        # alpha_u(t) is served by latency + demand / rate.
+        upper = model.upper()
+        sweep = max(
+            latency + upper(t) / rate - t
+            for t in (i * 0.01 for i in range(1, 20001))
+        )
+        beta = RateLatencyServiceCurve(rate, latency)
+        assert delay_bound(upper, beta) >= sweep - 1e-6
+
     def test_horizontal_deviation_zero_for_instant_server(self):
         alpha = PJD(10.0, 0.0, 10.0)
         beta = RateLatencyServiceCurve(rate=100.0, latency=0.0)
