@@ -52,13 +52,14 @@ class SyntheticVideo:
 
     def frame(self, index: int) -> np.ndarray:
         """The ``index``-th frame (uint8, ``height x width``)."""
-        y, x = np.mgrid[0: self.height, 0: self.width]
         phase = index * 0.35
-        base = (
-            128.0
-            + 55.0 * np.sin((x + 4.0 * index) / 11.0 + phase * 0.1)
-            + 35.0 * np.cos((y - 2.0 * index) / 8.0)
+        # A sine along x plus a cosine along y: each pixel is
+        # ``(128 + sine[x]) + cosine[y]``, evaluated in that order.
+        row = 55.0 * np.sin(
+            (np.arange(self.width) + 4.0 * index) / 11.0 + phase * 0.1
         )
+        col = 35.0 * np.cos((np.arange(self.height) - 2.0 * index) / 8.0)
+        base = (128.0 + row[None, :]) + col[:, None]
         # Scroll the texture by the frame index (pure translation: ideal
         # for the motion estimator, like a panning camera).
         dy = (2 * index) % self.height

@@ -10,11 +10,13 @@ the equivalence checks of Theorem 2 compare meaningful payloads:
 * :mod:`~repro.codec.blocks` — 8x8 block tiling of frames;
 * :mod:`~repro.codec.dct` — the 8x8 type-II DCT and its inverse;
 * :mod:`~repro.codec.quant` — quantisation tables and (de)quantisation;
-* :mod:`~repro.codec.zigzag` — zig-zag scan and run-length coding;
+* :mod:`~repro.codec.zigzag` — zig-zag scan, run-length coding and the
+  block entropy coder both frame codecs share;
 * :mod:`~repro.codec.entropy` — exponential-Golomb entropy coding;
 * :mod:`~repro.codec.jpeg` — a baseline-JPEG-style frame codec (MJPEG);
 * :mod:`~repro.codec.adpcm` — the IMA ADPCM sample codec;
-* :mod:`~repro.codec.motion` — block motion estimation;
+* :mod:`~repro.codec.motion` — frame-wide block motion search and
+  compensation;
 * :mod:`~repro.codec.h264` — a simplified H.264-style intra/inter encoder.
 """
 
@@ -29,10 +31,12 @@ from repro.codec.quant import (
 )
 from repro.codec.zigzag import (
     ZIGZAG_ORDER,
+    inverse_zigzag,
+    read_blocks,
     run_length_decode,
     run_length_encode,
+    write_blocks,
     zigzag,
-    inverse_zigzag,
 )
 from repro.codec.entropy import (
     read_signed_exp_golomb,
@@ -42,7 +46,7 @@ from repro.codec.entropy import (
 )
 from repro.codec.jpeg import JpegCodec
 from repro.codec.adpcm import AdpcmCodec
-from repro.codec.motion import motion_estimate, motion_compensate
+from repro.codec.motion import motion_compensate, motion_search
 from repro.codec.h264 import H264Encoder, H264Decoder
 
 __all__ = [
@@ -58,18 +62,20 @@ __all__ = [
     "quality_scaled_table",
     "quantize",
     "ZIGZAG_ORDER",
+    "inverse_zigzag",
+    "read_blocks",
     "run_length_decode",
     "run_length_encode",
+    "write_blocks",
     "zigzag",
-    "inverse_zigzag",
     "read_signed_exp_golomb",
     "read_unsigned_exp_golomb",
     "write_signed_exp_golomb",
     "write_unsigned_exp_golomb",
     "JpegCodec",
     "AdpcmCodec",
-    "motion_estimate",
     "motion_compensate",
+    "motion_search",
     "H264Encoder",
     "H264Decoder",
 ]

@@ -11,7 +11,6 @@ given the input block and the initial predictor state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 #: IMA ADPCM step-size table (89 entries).
@@ -33,12 +32,10 @@ STEP_TABLE = np.array(
 INDEX_TABLE = np.array([-1, -1, -1, -1, 2, 4, 6, 8], dtype=np.int32)
 
 
-@dataclass
-class AdpcmState:
-    """Predictor state carried across samples."""
-
-    predictor: int = 0
-    index: int = 0
+# Python-list views of the tables: the per-sample loops index these.
+_STEPS = STEP_TABLE.tolist()
+_INDEX_STEPS = INDEX_TABLE.tolist()
+_MAX_INDEX = len(_STEPS) - 1
 
 
 class AdpcmCodec:
@@ -51,76 +48,91 @@ class AdpcmCodec:
 
     def encode_block(self, samples: np.ndarray) -> bytes:
         """Encode a 1-D int16 array into packed 4-bit codes."""
-        samples = np.asarray(samples, dtype=np.int64)
-        state = AdpcmState()
-        codes = bytearray()
-        nibble_pending = None
-        for sample in samples:
-            code = self._encode_sample(int(sample), state)
-            if nibble_pending is None:
-                nibble_pending = code
+        steps, index_steps = _STEPS, _INDEX_STEPS
+        predictor = 0
+        index = 0
+        codes = []
+        for sample in np.asarray(samples, dtype=np.int64).tolist():
+            step = steps[index]
+            delta = sample - predictor
+            if delta < 0:
+                code = 8
+                delta = -delta
             else:
-                codes.append((nibble_pending << 4) | code)
-                nibble_pending = None
-        if nibble_pending is not None:
-            codes.append(nibble_pending << 4)
-        return bytes(codes)
+                code = 0
+            # ``difference`` is what the decoder will add back: the
+            # quantised ``delta`` (step/8 plus the steps the bits claim).
+            difference = step >> 3
+            if delta >= step:
+                code |= 4
+                delta -= step
+                difference += step
+            if delta >= step >> 1:
+                code |= 2
+                delta -= step >> 1
+                difference += step >> 1
+            if delta >= step >> 2:
+                code |= 1
+                difference += step >> 2
+            if code & 8:
+                predictor -= difference
+                if predictor < -32768:
+                    predictor = -32768
+            else:
+                predictor += difference
+                if predictor > 32767:
+                    predictor = 32767
+            index += index_steps[code & 7]
+            if index < 0:
+                index = 0
+            elif index > _MAX_INDEX:
+                index = _MAX_INDEX
+            codes.append(code)
+        if len(codes) % 2:
+            codes.append(0)
+        packed = np.array(codes, dtype=np.uint8)
+        return ((packed[0::2] << 4) | packed[1::2]).tobytes()
 
     def decode_block(self, data: bytes, count: int) -> np.ndarray:
         """Decode ``count`` samples from packed codes."""
-        state = AdpcmState()
-        samples = np.zeros(count, dtype=np.int16)
-        for i in range(count):
-            byte = data[i // 2]
-            code = (byte >> 4) & 0xF if i % 2 == 0 else byte & 0xF
-            samples[i] = self._decode_sample(code, state)
-        return samples
+        if not 0 <= count <= 2 * len(data):
+            raise ValueError(
+                f"cannot decode {count} samples from {len(data)} bytes"
+            )
+        packed = np.frombuffer(data, dtype=np.uint8)
+        nibbles = np.empty(2 * len(packed), dtype=np.uint8)
+        nibbles[0::2] = packed >> 4
+        nibbles[1::2] = packed & 0xF
+        steps, index_steps = _STEPS, _INDEX_STEPS
+        predictor = 0
+        index = 0
+        samples = []
+        for code in nibbles[:count].tolist():
+            step = steps[index]
+            difference = step >> 3
+            if code & 4:
+                difference += step
+            if code & 2:
+                difference += step >> 1
+            if code & 1:
+                difference += step >> 2
+            if code & 8:
+                predictor -= difference
+                if predictor < -32768:
+                    predictor = -32768
+            else:
+                predictor += difference
+                if predictor > 32767:
+                    predictor = 32767
+            index += index_steps[code & 7]
+            if index < 0:
+                index = 0
+            elif index > _MAX_INDEX:
+                index = _MAX_INDEX
+            samples.append(predictor)
+        return np.array(samples, dtype=np.int16)
 
     def roundtrip_block(self, samples: np.ndarray) -> np.ndarray:
         """Encode then decode (what the paper's app pipeline computes)."""
         encoded = self.encode_block(samples)
         return self.decode_block(encoded, len(samples))
-
-    # -- per-sample kernels -------------------------------------------------
-
-    @staticmethod
-    def _encode_sample(sample: int, state: AdpcmState) -> int:
-        step = int(STEP_TABLE[state.index])
-        delta = sample - state.predictor
-        code = 0
-        if delta < 0:
-            code = 8
-            delta = -delta
-        if delta >= step:
-            code |= 4
-            delta -= step
-        if delta >= step // 2:
-            code |= 2
-            delta -= step // 2
-        if delta >= step // 4:
-            code |= 1
-        AdpcmCodec._update(code, state)
-        return code
-
-    @staticmethod
-    def _decode_sample(code: int, state: AdpcmState) -> int:
-        AdpcmCodec._update(code, state)
-        return state.predictor
-
-    @staticmethod
-    def _update(code: int, state: AdpcmState) -> None:
-        step = int(STEP_TABLE[state.index])
-        difference = step >> 3
-        if code & 4:
-            difference += step
-        if code & 2:
-            difference += step >> 1
-        if code & 1:
-            difference += step >> 2
-        if code & 8:
-            state.predictor -= difference
-        else:
-            state.predictor += difference
-        state.predictor = max(-32768, min(32767, state.predictor))
-        state.index += int(INDEX_TABLE[code & 7])
-        state.index = max(0, min(len(STEP_TABLE) - 1, state.index))

@@ -15,22 +15,13 @@ def write_unsigned_exp_golomb(writer: BitWriter, value: int) -> None:
     if value < 0:
         raise ValueError("unsigned exp-Golomb needs value >= 0")
     code = value + 1
-    length = code.bit_length()
-    writer.write_bits(0, length - 1)
-    writer.write_bits(code, length)
+    # ``length - 1`` zeros then ``code`` itself, as one field.
+    writer.write_bits(code, 2 * code.bit_length() - 1)
 
 
 def read_unsigned_exp_golomb(reader: BitReader) -> int:
     """Read an unsigned integer."""
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
-        if zeros > 64:
-            raise ValueError("malformed exp-Golomb code")
-    code = 1
-    for _ in range(zeros):
-        code = (code << 1) | reader.read_bit()
-    return code - 1
+    return reader.read_exp_golomb()
 
 
 def write_signed_exp_golomb(writer: BitWriter, value: int) -> None:
@@ -41,7 +32,7 @@ def write_signed_exp_golomb(writer: BitWriter, value: int) -> None:
 
 def read_signed_exp_golomb(reader: BitReader) -> int:
     """Read a signed integer using the H.264 mapping."""
-    mapped = read_unsigned_exp_golomb(reader)
+    mapped = reader.read_exp_golomb()
     if mapped % 2 == 1:
         return (mapped + 1) // 2
     return -(mapped // 2)

@@ -19,27 +19,17 @@ deterministic — the property the fault-tolerance experiments require.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.blocks import BLOCK, blocks_to_frame, frame_to_blocks, pad_frame
 from repro.codec.dct import dct2, idct2
-from repro.codec.entropy import (
-    read_signed_exp_golomb,
-    read_unsigned_exp_golomb,
-    write_signed_exp_golomb,
-    write_unsigned_exp_golomb,
-)
-from repro.codec.motion import motion_estimate
+from repro.codec.entropy import read_signed_exp_golomb, write_signed_exp_golomb
+from repro.codec.motion import motion_compensate, motion_search
 from repro.codec.quant import dequantize, quality_scaled_table, quantize
-from repro.codec.zigzag import (
-    inverse_zigzag,
-    run_length_decode,
-    run_length_encode,
-    zigzag,
-)
+from repro.codec.zigzag import read_blocks, write_blocks
 
 _HEADER = struct.Struct(">HHBB")  # height, width, quality, frame type
 FRAME_I = 0
@@ -115,7 +105,7 @@ class H264Encoder:
         blocks = frame_to_blocks(padded - 128.0)
         levels = quantize(dct2(blocks), self.table)
         writer = BitWriter()
-        _write_blocks(writer, levels)
+        write_blocks(writer, levels)
         reconstruction = blocks_to_frame(
             idct2(dequantize(levels, self.table)), padded.shape
         ) + 128.0
@@ -125,28 +115,15 @@ class H264Encoder:
 
     def _encode_inter(self, padded: np.ndarray) -> Tuple[bytes, np.ndarray]:
         reference = self._reference
-        rows = padded.shape[0] // BLOCK
-        cols = padded.shape[1] // BLOCK
+        motion = motion_search(padded, reference, self.search_range)
+        predicted = motion_compensate(reference, motion)
         writer = BitWriter()
-        predicted = np.zeros_like(padded)
-        motion: List[Tuple[int, int]] = []
-        for r in range(rows):
-            for c in range(cols):
-                dy, dx, _sad = motion_estimate(
-                    padded, reference, r * BLOCK, c * BLOCK,
-                    self.search_range,
-                )
-                motion.append((dy, dx))
-                y, x = r * BLOCK + dy, c * BLOCK + dx
-                predicted[
-                    r * BLOCK: (r + 1) * BLOCK, c * BLOCK: (c + 1) * BLOCK
-                ] = reference[y: y + BLOCK, x: x + BLOCK]
-        for dy, dx in motion:
+        for dy, dx in motion.reshape(-1, 2).tolist():
             write_signed_exp_golomb(writer, dy)
             write_signed_exp_golomb(writer, dx)
         residual_blocks = frame_to_blocks(padded - predicted)
         levels = quantize(dct2(residual_blocks), self.table)
-        _write_blocks(writer, levels)
+        write_blocks(writer, levels)
         reconstruction = predicted + blocks_to_frame(
             idct2(dequantize(levels, self.table)), padded.shape
         )
@@ -168,28 +145,19 @@ class H264Decoder:
         padded_w = width + ((-width) % BLOCK)
         rows, cols = padded_h // BLOCK, padded_w // BLOCK
         if frame_type == FRAME_I:
-            levels = _read_blocks(reader, rows * cols)
+            levels = read_blocks(reader, rows * cols)
             padded = blocks_to_frame(
                 idct2(dequantize(levels, table)), (padded_h, padded_w)
             ) + 128.0
         else:
             if self._reference is None:
                 raise ValueError("P-frame before any I-frame")
-            motion = np.zeros((rows, cols, 2), dtype=np.int64)
-            for r in range(rows):
-                for c in range(cols):
-                    motion[r, c, 0] = read_signed_exp_golomb(reader)
-                    motion[r, c, 1] = read_signed_exp_golomb(reader)
-            predicted = np.zeros((padded_h, padded_w), dtype=np.float64)
-            for r in range(rows):
-                for c in range(cols):
-                    dy, dx = int(motion[r, c, 0]), int(motion[r, c, 1])
-                    y, x = r * BLOCK + dy, c * BLOCK + dx
-                    predicted[
-                        r * BLOCK: (r + 1) * BLOCK,
-                        c * BLOCK: (c + 1) * BLOCK,
-                    ] = self._reference[y: y + BLOCK, x: x + BLOCK]
-            levels = _read_blocks(reader, rows * cols)
+            motion = np.array(
+                [read_signed_exp_golomb(reader) for _ in range(rows * cols * 2)],
+                dtype=np.int64,
+            ).reshape(rows, cols, 2)
+            predicted = motion_compensate(self._reference, motion)
+            levels = read_blocks(reader, rows * cols)
             padded = predicted + blocks_to_frame(
                 idct2(dequantize(levels, table)), (padded_h, padded_w)
             )
@@ -197,37 +165,3 @@ class H264Decoder:
         self._reference = padded
         frame = padded[:height, :width]
         return np.round(frame).astype(np.uint8)
-
-
-def _write_blocks(writer: BitWriter, levels: np.ndarray) -> None:
-    """Serialise quantised blocks with differential DC + RLE AC coding."""
-    previous_dc = 0
-    for block in levels:
-        scanned = zigzag(block).astype(np.int64)
-        dc = int(scanned[0])
-        write_signed_exp_golomb(writer, dc - previous_dc)
-        previous_dc = dc
-        for run, value in run_length_encode(scanned[1:]):
-            write_unsigned_exp_golomb(writer, run)
-            write_signed_exp_golomb(writer, value)
-
-
-def _read_blocks(reader: BitReader, count: int) -> np.ndarray:
-    """Inverse of :func:`_write_blocks`."""
-    blocks = np.zeros((count, BLOCK, BLOCK), dtype=np.float64)
-    previous_dc = 0
-    for index in range(count):
-        dc = previous_dc + read_signed_exp_golomb(reader)
-        previous_dc = dc
-        pairs: List[Tuple[int, int]] = []
-        while True:
-            run = read_unsigned_exp_golomb(reader)
-            value = read_signed_exp_golomb(reader)
-            pairs.append((run, value))
-            if run == 0 and value == 0:
-                break
-        vector = np.concatenate(
-            ([float(dc)], run_length_decode(pairs, BLOCK * BLOCK - 1))
-        )
-        blocks[index] = inverse_zigzag(vector)
-    return blocks

@@ -1,48 +1,75 @@
-"""Block motion estimation and compensation (the H.264 inter path)."""
+"""Frame-wide block motion search and compensation (the H.264 inter path)."""
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.codec.blocks import BLOCK
 
 
-def motion_estimate(
+def _candidates(search_range: int) -> List[Tuple[int, int]]:
+    """Displacements within ``search_range``, in tie-break order.
+
+    The order is ``(|dy| + |dx|, dy, dx)``: the first minimum-SAD
+    candidate in this list is the smallest vector, lowest ``dy``, then
+    lowest ``dx``.
+    """
+    span = range(-search_range, search_range + 1)
+    return sorted(
+        ((dy, dx) for dy in span for dx in span),
+        key=lambda v: (abs(v[0]) + abs(v[1]), v[0], v[1]),
+    )
+
+
+def motion_search(
     current: np.ndarray,
     reference: np.ndarray,
-    top: int,
-    left: int,
     search_range: int = 4,
     block: int = BLOCK,
-) -> Tuple[int, int, float]:
-    """Full-search motion estimation for one block.
+) -> np.ndarray:
+    """Full-search motion estimation for every block of a frame.
 
-    Finds the integer motion vector ``(dy, dx)`` within ``search_range``
-    minimising the sum of absolute differences between the ``block x
-    block`` patch of ``current`` at ``(top, left)`` and the displaced
-    patch of ``reference``.  Ties resolve to the smallest ``(|dy| + |dx|,
-    dy, dx)`` so the search is deterministic.
+    For each ``block x block`` tile of ``current`` (shape a multiple of
+    ``block``), finds the integer vector ``(dy, dx)`` within
+    ``search_range`` minimising the sum of absolute differences to the
+    displaced tile of ``reference``; both frames are truncated to
+    integers first.  Displaced tiles must lie inside the frame.  Ties go
+    to the smallest ``(|dy| + |dx|, dy, dx)``, so the search is
+    deterministic.
 
-    Returns ``(dy, dx, sad)``.
+    Returns the ``(rows, cols, 2)`` int64 vector field.
     """
-    height, width = reference.shape
-    patch = current[top: top + block, left: left + block].astype(np.int64)
-    best: Tuple[int, int, float] = (0, 0, float("inf"))
-    candidates = []
-    for dy in range(-search_range, search_range + 1):
-        for dx in range(-search_range, search_range + 1):
-            y, x = top + dy, left + dx
-            if y < 0 or x < 0 or y + block > height or x + block > width:
-                continue
-            candidate = reference[y: y + block, x: x + block].astype(np.int64)
-            sad = float(np.abs(patch - candidate).sum())
-            candidates.append((sad, abs(dy) + abs(dx), dy, dx))
-    if not candidates:
-        return (0, 0, float(np.abs(patch).sum()))
-    sad, _, dy, dx = min(candidates)
-    return (dy, dx, sad)
+    if search_range < 0:
+        raise ValueError("search_range must be >= 0")
+    if current.shape != reference.shape:
+        raise ValueError("current and reference frames differ in shape")
+    height, width = current.shape
+    if height % block or width % block:
+        raise ValueError("frame shape must be a multiple of the block size")
+    r = search_range
+    cur = current.astype(np.int64)
+    padded = np.pad(reference.astype(np.int64), r)
+    tops = np.arange(0, height, block)
+    lefts = np.arange(0, width, block)
+    candidates = np.array(_candidates(r), dtype=np.int64)
+    sads = np.empty((len(candidates), len(tops), len(lefts)), dtype=np.int64)
+    for k, (dy, dx) in enumerate(candidates.tolist()):
+        shifted = padded[r + dy: r + dy + height, r + dx: r + dx + width]
+        difference = np.abs(cur - shifted)
+        sads[k] = np.add.reduceat(
+            np.add.reduceat(difference, tops, axis=0), lefts, axis=1
+        )
+    # A displaced tile must lie inside the frame; the others get a SAD
+    # no in-frame candidate reaches.
+    dys = candidates[:, 0, None]
+    dxs = candidates[:, 1, None]
+    row_ok = (tops + dys >= 0) & (tops + dys + block <= height)
+    col_ok = (lefts + dxs >= 0) & (lefts + dxs + block <= width)
+    inside = row_ok[:, :, None] & col_ok[:, None, :]
+    sads[~inside] = np.iinfo(np.int64).max
+    return candidates[sads.argmin(axis=0)]
 
 
 def motion_compensate(
@@ -60,10 +87,9 @@ def motion_compensate(
     if reference.shape != (height, width):
         raise ValueError("reference shape does not match the motion grid")
     predicted = np.zeros_like(reference)
-    for r in range(rows):
-        for c in range(cols):
-            dy, dx = int(motion[r, c, 0]), int(motion[r, c, 1])
-            y, x = r * block + dy, c * block + dx
+    for r, vectors in enumerate(motion.tolist()):
+        for c, (dy, dx) in enumerate(vectors):
+            y, x = r * block + int(dy), c * block + int(dx)
             predicted[
                 r * block: (r + 1) * block, c * block: (c + 1) * block
             ] = reference[y: y + block, x: x + block]

@@ -1,4 +1,12 @@
-"""Zig-zag scanning and run-length coding of quantised blocks."""
+"""Zig-zag scanning, run-length coding and the shared block entropy coder.
+
+:func:`write_blocks` / :func:`read_blocks` are the block entropy coder
+both frame codecs share: per block, the DC level differentially coded
+against the previous block, then ``(zero_run, value)`` pairs over the
+zig-zag-scanned AC levels up to the last nonzero one, then an
+end-of-block ``(0, 0)`` pair; every number is an exp-Golomb codeword
+(unsigned for runs, signed for levels).
+"""
 
 from __future__ import annotations
 
@@ -6,6 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.blocks import BLOCK
 
 
@@ -76,3 +85,77 @@ def run_length_decode(pairs: List[Tuple[int, int]], length: int = 64) -> np.ndar
         raise ValueError("run-length data exceeds block size")
     values.extend([0] * (length - len(values)))
     return np.array(values, dtype=np.float64)
+
+
+def write_blocks(writer: BitWriter, levels: np.ndarray) -> None:
+    """Entropy-code a stack of quantised ``(n, 8, 8)`` level blocks.
+
+    Each block goes out as one bit field: its codewords are packed into
+    a Python int and handed to :meth:`BitWriter.write_bits` once.
+    """
+    count = len(levels)
+    scanned = levels.reshape(count, BLOCK * BLOCK)[:, ZIGZAG_ORDER]
+    scanned = scanned.astype(np.int64)
+    # One past the last nonzero AC level of each row (1: no AC levels).
+    nonzero = scanned[:, :0:-1] != 0
+    stops = np.where(
+        nonzero.any(axis=1), BLOCK * BLOCK - nonzero.argmax(axis=1), 1
+    )
+    write = writer.write_bits
+    previous_dc = 0
+    for row, stop in zip(scanned.tolist(), stops.tolist()):
+        dc = row[0]
+        delta = dc - previous_dc
+        previous_dc = dc
+        # Signed exp-Golomb: ``v`` is sent as the unsigned code of
+        # ``2v - 1`` (v > 0) or ``-2v``; ``field`` holds ``code + 1``.
+        field = 2 * delta if delta > 0 else 1 - 2 * delta
+        width = 2 * field.bit_length() - 1
+        run = 0
+        for value in row[1:stop]:
+            if value:
+                run_code = run + 1
+                code = 2 * value if value > 0 else 1 - 2 * value
+                run_width = 2 * run_code.bit_length() - 1
+                code_width = 2 * code.bit_length() - 1
+                field = (
+                    (((field << run_width) | run_code) << code_width) | code
+                )
+                width += run_width + code_width
+                run = 0
+            else:
+                run += 1
+        # End of block: run 0 and value 0 are both the codeword ``1``.
+        write((field << 2) | 3, width + 2)
+
+
+def read_blocks(reader: BitReader, count: int) -> np.ndarray:
+    """Decode ``count`` blocks written by :func:`write_blocks`.
+
+    Returns the ``(count, 8, 8)`` float64 level blocks.
+    """
+    read = reader.read_exp_golomb
+    size = BLOCK * BLOCK
+    scanned = [0] * (count * size)
+    previous_dc = 0
+    for base in range(0, count * size, size):
+        mapped = read()
+        previous_dc += (mapped + 1) >> 1 if mapped & 1 else -(mapped >> 1)
+        scanned[base] = previous_dc
+        position = base
+        while True:
+            run = read()
+            mapped = read()
+            if not run and not mapped:
+                break
+            position += run + 1
+            if position >= base + size:
+                raise ValueError("run-length data exceeds block size")
+            scanned[position] = (
+                (mapped + 1) >> 1 if mapped & 1 else -(mapped >> 1)
+            )
+    blocks = np.empty((count, size), dtype=np.float64)
+    blocks[:, ZIGZAG_ORDER] = np.array(scanned, dtype=np.float64).reshape(
+        count, size
+    )
+    return blocks.reshape(count, BLOCK, BLOCK)

@@ -77,3 +77,16 @@ class TestAdpcmCodec:
         block = np.full(600, 12000, dtype=np.int16)
         decoded = codec.roundtrip_block(block)
         assert abs(int(decoded[-1]) - 12000) < 400
+
+    def test_count_beyond_data_rejected(self):
+        codec = AdpcmCodec()
+        encoded = codec.encode_block(sine_block(101))
+        with pytest.raises(ValueError):
+            codec.decode_block(encoded, 2 * len(encoded) + 1)
+        assert len(codec.decode_block(encoded, 2 * len(encoded))) == 102
+
+    def test_negative_count_rejected(self):
+        codec = AdpcmCodec()
+        with pytest.raises(ValueError):
+            codec.decode_block(b"\x12\x34", -1)
+        assert len(codec.decode_block(b"", 0)) == 0
