@@ -116,8 +116,9 @@ class SweepExecutor:
 
     ``dedup=False`` disables digest grouping (every spec executes even
     when identical to another); ``persistent=False`` tears the worker
-    pool down after every run (the pre-persistent-pool behaviour, kept
-    for A/B benchmarking); ``target_chunk_s=None`` disables adaptive
+    pool down after every run, for one-off executors whose pool must
+    not outlive the call (campaign scenario runs, shrink and reproducer
+    replay); ``target_chunk_s=None`` disables adaptive
     chunking in favour of the static first-batch heuristic.
     """
 

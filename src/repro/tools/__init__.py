@@ -1,6 +1,6 @@
 """Developer tooling shipped with the library.
 
-Currently: :mod:`repro.tools.bench_compare`, the perf-regression harness
-that runs the primitive benchmarks and compares them against the committed
-baseline in ``BENCH_primitives.json``.
+:mod:`repro.tools.gates` runs the two paired performance gates (streaming
+ledger overhead, multi-batch sweep gain); :mod:`repro.tools.sweep_smoke`
+checks that parallel, serial and cached sweeps are byte-identical.
 """

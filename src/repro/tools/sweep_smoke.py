@@ -72,7 +72,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         cached = _table2_json(app, args.runs, args.warmup, jobs=1,
                               cache=ResultCache(tmp))
-        if cached != warm != serial:
+        if not cached == warm == serial:
             print("FAIL: cached replay JSON differs")
             return 1
     print(f"OK: cached re-run served all {len(specs)} tasks from cache, "

@@ -238,78 +238,6 @@ class TestCampaignCommand:
         assert "not valid JSON" in captured.err
 
 
-class TestBenchCommand:
-    def _seed_db(self, root):
-        import json
-
-        db = {
-            "version": 1,
-            "baseline": {
-                "label": "seed",
-                "results": {"a": {"mean": 1e-3, "min": 1e-3, "rounds": 5}},
-            },
-            "runs": [],
-        }
-        (root / "BENCH_primitives.json").write_text(json.dumps(db))
-        return db
-
-    def _fake_run_benchmarks(self, monkeypatch):
-        import repro.tools.bench_compare as bc
-
-        calls = {}
-
-        def fake(repo_root, smoke, profile_dir=None):
-            calls["profile_dir"] = profile_dir
-            if profile_dir is not None:
-                profile_dir.mkdir(parents=True, exist_ok=True)
-                (profile_dir / "profile-test_a.prof").write_bytes(b"")
-            return {"a": {"mean": 1e-3, "min": 1e-3, "rounds": 5}}
-
-        monkeypatch.setattr(bc, "run_benchmarks", fake)
-        # The interleaved overhead gate times real sweeps — pin it so
-        # CLI plumbing tests stay fast and immune to host load.
-        monkeypatch.setattr(bc, "measure_obs_overhead", lambda: 0.0)
-        return calls
-
-    def test_bench_records_run_with_fingerprint(
-            self, tmp_path, monkeypatch, capsys):
-        import json
-
-        from repro.tools.bench_compare import machine_fingerprint
-
-        self._seed_db(tmp_path)
-        self._fake_run_benchmarks(monkeypatch)
-        code = main(["bench", "--label", "probe",
-                     "--repo-root", str(tmp_path)])
-        assert code == 0
-        db = json.loads((tmp_path / "BENCH_primitives.json").read_text())
-        assert db["runs"][-1]["label"] == "probe"
-        assert db["runs"][-1]["machine"] == machine_fingerprint()
-
-    def test_bench_profile_reports_dumps(
-            self, tmp_path, monkeypatch, capsys):
-        self._seed_db(tmp_path)
-        calls = self._fake_run_benchmarks(monkeypatch)
-        code = main(["bench", "--label", "probe",
-                     "--repo-root", str(tmp_path),
-                     "--profile", str(tmp_path / "profs"), "--dry-run"])
-        assert code == 0
-        assert calls["profile_dir"] == tmp_path / "profs"
-        out = capsys.readouterr().out
-        assert "1 cProfile dump(s)" in out
-        assert "dry run" in out
-
-    def test_bench_profile_defaults_under_repo_root(
-            self, tmp_path, monkeypatch):
-        self._seed_db(tmp_path)
-        calls = self._fake_run_benchmarks(monkeypatch)
-        code = main(["bench", "--label", "probe",
-                     "--repo-root", str(tmp_path),
-                     "--profile", "--dry-run"])
-        assert code == 0
-        assert calls["profile_dir"] == tmp_path / "benchmarks" / "profiles"
-
-
 class TestStreamingCli:
     def _run_streamed_campaign(self, tmp_path):
         ledger = tmp_path / "campaign.ledger"
@@ -404,6 +332,16 @@ class TestCacheCommand:
                      "prune", "--max-mb", "1024"])
         assert code == 0
         assert "removed 0 of 3 entries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", ["-1", "-0.5", "nan", "inf", "lots"])
+    def test_prune_rejects_invalid_budget(self, tmp_path, capsys, budget):
+        cache = self._populate(tmp_path / "cache")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "--dir", str(tmp_path / "cache"),
+                  "prune", "--max-mb", budget])
+        assert exit_info.value.code == 2
+        assert "--max-mb" in capsys.readouterr().err
+        assert cache.size_stats()["entries"] == 3
 
     def test_cache_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
