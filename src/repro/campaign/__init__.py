@@ -15,6 +15,8 @@ oracle                 paper claim it checks
 ``isolation``          Lemma 1: only the faulty replica is ever implicated
 ``detection-latency``  Eqs. 6-8: faults detected within the latency bound
 ``equivalence``        Theorem 2: consumer stream identical to reference
+``recovery``           post-recovery equivalence within the weakly-hard
+                       budget (closed-loop scenarios)
 =====================  ====================================================
 
 Failing scenarios are shrunk to minimal reproducers
@@ -68,6 +70,7 @@ from repro.campaign.scenario import (
     MISSIZE_THRESHOLD,
     Scenario,
     ScenarioGenerator,
+    SizedScenario,
     SyntheticModels,
     scenario_from_jsonable,
     scenario_to_jsonable,
@@ -94,6 +97,7 @@ __all__ = [
     "ScenarioGenerator",
     "ScenarioOutcome",
     "ShrinkResult",
+    "SizedScenario",
     "SyntheticModels",
     "Violation",
     "build_campaign_report",

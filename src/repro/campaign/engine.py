@@ -6,7 +6,10 @@ scenario matrix, every scenario's (reference, duplicated) TaskSpec pair
 runs through one :class:`~repro.exec.SweepExecutor` batch (so ``--jobs``
 parallelism and the result cache apply across the whole campaign), the
 oracle suite judges each outcome, and every violated scenario is shrunk
-to a minimal reproducer.
+to a minimal reproducer.  The matrix arrives as
+:class:`~repro.campaign.scenario.SizedScenario` records: each scenario
+is sized once, at generation, and spec building, judging and shrinking
+reuse that sizing.
 
 The campaign digest (:meth:`CampaignResult.digest`) hashes every
 scenario digest together with its verdict — two runs of the same seed
@@ -27,7 +30,11 @@ from repro.campaign.oracles import (
     Violation,
     oracles_by_name,
 )
-from repro.campaign.scenario import Scenario, ScenarioGenerator
+from repro.campaign.scenario import (
+    Scenario,
+    ScenarioGenerator,
+    SizedScenario,
+)
 from repro.campaign.shrink import ShrinkResult, shrink_scenario
 from repro.exec import ResultCache, SweepExecutor, SweepStats, TaskResult
 
@@ -44,7 +51,7 @@ ProgressFn = Callable[[str], None]
 class CampaignConfig:
     """Everything one campaign run needs.
 
-    ``oracles`` is a sequence of oracle names (empty means all five);
+    ``oracles`` is a sequence of oracle names (empty means all six);
     ``self_tests`` appends the deliberately mis-sized scenarios that the
     oracles *must* flag — a campaign whose watchdogs never bark proves
     nothing.  ``cache`` memoises individual task runs; verdicts and the
@@ -73,11 +80,15 @@ class CampaignConfig:
 class ScenarioOutcome:
     """One judged scenario."""
 
-    scenario: Scenario
+    sized: SizedScenario
     digest: str
     violations: Tuple[Violation, ...]
     reference: TaskResult
     duplicated: TaskResult
+
+    @property
+    def scenario(self) -> Scenario:
+        return self.sized.scenario
 
     @property
     def verdict(self) -> str:
@@ -155,13 +166,13 @@ def stream_summary(metrics) -> Dict[str, object]:
 
 
 def run_scenario(
-    scenario: Scenario,
+    sized: SizedScenario,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> Tuple[TaskResult, TaskResult]:
     """Execute one scenario's (reference, duplicated) pair."""
-    reference_spec, duplicated_spec = scenario.specs()
+    reference_spec, duplicated_spec = sized.specs()
     if executor is None:
         executor = SweepExecutor(jobs=jobs, cache=cache, persistent=False)
     results = executor.run([reference_spec, duplicated_spec])
@@ -169,15 +180,16 @@ def run_scenario(
 
 
 def evaluate_scenario(
-    scenario: Scenario,
+    sized: SizedScenario,
     reference: TaskResult,
     duplicated: TaskResult,
     oracles: Sequence[Oracle] = ALL_ORACLES,
 ) -> ScenarioOutcome:
     """Judge one executed scenario against the oracle suite."""
+    scenario = sized.scenario
     ctx = OutcomeContext(
         scenario=scenario,
-        sizing=scenario.applied_sizing(scenario.build_app()),
+        sizing=sized.applied_sizing(),
         reference=reference,
         duplicated=duplicated,
     )
@@ -185,7 +197,7 @@ def evaluate_scenario(
     for oracle in oracles:
         violations.extend(oracle(ctx))
     return ScenarioOutcome(
-        scenario=scenario,
+        sized=sized,
         digest=scenario.digest(),
         violations=tuple(violations),
         reference=reference,
@@ -217,8 +229,8 @@ def run_campaign(
         )
 
     specs = []
-    for scenario in scenarios:
-        specs.extend(scenario.specs())
+    for sized in scenarios:
+        specs.extend(sized.specs())
     # One persistent executor carries the whole campaign: the main batch
     # AND every shrink candidate reuse the same warm worker pool and
     # per-task latency estimate instead of forking per call.
@@ -228,11 +240,12 @@ def run_campaign(
         results = executor.run(specs)
 
         outcome_list: List[ScenarioOutcome] = []
-        for position, scenario in enumerate(scenarios):
+        for position, sized in enumerate(scenarios):
             reference = results[2 * position]
             duplicated = results[2 * position + 1]
-            outcome = evaluate_scenario(scenario, reference, duplicated,
+            outcome = evaluate_scenario(sized, reference, duplicated,
                                         oracles)
+            scenario = outcome.scenario
             outcome_list.append(outcome)
             if ledger is not None:
                 ledger.scenario_verdict(
@@ -263,7 +276,7 @@ def run_campaign(
             for outcome in violated:
                 say(f"shrinking {outcome.scenario.label()} ...")
                 result.shrunk[outcome.digest] = shrink_scenario(
-                    outcome.scenario,
+                    outcome.sized,
                     oracles=oracles,
                     jobs=config.jobs,
                     cache=config.cache,

@@ -206,13 +206,13 @@ def run_mttf_campaign(config: MttfConfig, progress=None) -> MttfResult:
             scenarios = [generator.scenario(start + offset)
                          for offset in range(count)]
             specs = []
-            for scenario in scenarios:
-                specs.extend(scenario.specs())
+            for sized in scenarios:
+                specs.extend(sized.specs())
             results = executor.run(specs)
             stop = False
-            for position, scenario in enumerate(scenarios):
+            for position, sized in enumerate(scenarios):
                 outcome = evaluate_scenario(
-                    scenario,
+                    sized,
                     results[2 * position],
                     results[2 * position + 1],
                     oracles,
@@ -234,7 +234,7 @@ def run_mttf_campaign(config: MttfConfig, progress=None) -> MttfResult:
                     )
                 if not outcome.passed:
                     say(f"FAIL cycle {cycle_index} "
-                        f"{scenario.label()}: {outcome.verdict} "
+                        f"{outcome.scenario.label()}: {outcome.verdict} "
                         + "; ".join(v.message
                                     for v in outcome.violations))
                 if _converged(result.availability_trace,

@@ -21,17 +21,21 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
-from repro.campaign.engine import ScenarioOutcome, evaluate_scenario
+from repro.campaign.engine import (
+    ScenarioOutcome,
+    evaluate_scenario,
+    run_scenario,
+)
 from repro.campaign.oracles import Violation, oracles_by_name
 from repro.campaign.scenario import (
     Scenario,
     ScenarioError,
+    SizedScenario,
     scenario_from_jsonable,
     scenario_to_jsonable,
 )
 from repro.exec import (
     ResultCache,
-    SweepExecutor,
     TaskSpec,
     TaskSpecError,
     spec_from_jsonable,
@@ -66,7 +70,7 @@ def save_reproducer(
 ) -> Path:
     """Write a reproducer JSON document; returns the path written."""
     path = Path(path)
-    reference_spec, duplicated_spec = reproducer.scenario.specs()
+    reference_spec, duplicated_spec = reproducer.scenario.sized().specs()
     document = {
         "schema": REPRODUCER_SCHEMA_ID,
         "campaign_seed": reproducer.campaign_seed,
@@ -178,10 +182,14 @@ def load_reproducer(path: Union[str, Path]) -> Reproducer:
 
 
 def save_run_report(
-    scenario: Scenario, path: Union[str, Path]
+    sized: SizedScenario, path: Union[str, Path]
 ) -> Path:
     """Run one scenario's duplicated network under full telemetry and
     write the obs layer's ``repro.run-report/1`` artifact.
+
+    The run is the scenario's own duplicated task — same sizing, fault
+    and closed-loop recovery policy — so the report describes exactly
+    the run the oracles judged.
 
     Minimal reproducers ship with one of these so a failure can be read
     (channel fills vs capacity, divergence headroom, detection latency
@@ -192,19 +200,20 @@ def save_run_report(
     from repro.experiments.runner import run_duplicated
     from repro.obs import Observability, build_run_report, validate_report
 
-    app = scenario.build_app()
-    sizing = scenario.applied_sizing(app)
+    scenario = sized.scenario
+    sizing = sized.applied_sizing()
     obs = Observability()
     run = run_duplicated(
-        app,
+        sized.app,
         scenario.tokens,
         scenario.seed,
         fault=scenario.fault,
         sizing=sizing,
         strict_single_fault=scenario.missize is None,
         obs=obs,
+        recovery=scenario.recovery,
     )
-    report = build_run_report(run, sizing, app.name, scenario.tokens,
+    report = build_run_report(run, sizing, sized.app.name, scenario.tokens,
                               scenario.seed, fault=scenario.fault)
     validate_report(report)
     path = Path(path)
@@ -223,11 +232,8 @@ def replay_reproducer(
     Returns the judged outcome; :meth:`Reproducer.matches` tells whether
     the recorded violation reproduced.
     """
-    reference_spec, duplicated_spec = reproducer.scenario.specs()
-    results = SweepExecutor(jobs=jobs, cache=cache,
-                            persistent=False).run(
-        [reference_spec, duplicated_spec]
-    )
+    sized = reproducer.scenario.sized()
+    reference, duplicated = run_scenario(sized, jobs=jobs, cache=cache)
     return evaluate_scenario(
-        reproducer.scenario, results[0], results[1], oracles_by_name(None)
+        sized, reference, duplicated, oracles_by_name(None)
     )

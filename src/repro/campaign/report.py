@@ -106,8 +106,8 @@ def build_campaign_report(result: CampaignResult) -> Dict[str, Any]:
         {
             "digest": digest,
             "target_oracles": list(entry.target_oracles),
-            "from_tokens": entry.original.tokens,
-            "to_tokens": entry.minimal.tokens,
+            "from_tokens": entry.original.scenario.tokens,
+            "to_tokens": entry.minimal.scenario.tokens,
             "runs": entry.runs,
             "reduced": entry.reduced,
         }

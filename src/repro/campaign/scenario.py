@@ -3,17 +3,22 @@
 A :class:`Scenario` is one cell of the campaign matrix — an application,
 a (possibly absent) fault, a token budget, a sizing margin and a run
 seed — as plain frozen data: JSON round-trippable
-(:func:`scenario_to_jsonable` / :func:`scenario_from_jsonable`),
-content-digested (:meth:`Scenario.digest`) and convertible into the pair
-of :class:`~repro.exec.TaskSpec` runs (reference twin + duplicated
-network) that the engine executes.
+(:func:`scenario_to_jsonable` / :func:`scenario_from_jsonable`) and
+content-digested (:meth:`Scenario.digest`).  A :class:`SizedScenario`
+pairs it with its built application and the Section 3.4 sizing solved
+once for it; that record is what the campaign passes around and what
+converts into the pair of :class:`~repro.exec.TaskSpec` runs (reference
+twin + duplicated network) that the engine executes.
 
 :class:`ScenarioGenerator` samples the matrix from a campaign seed.
 Scenario ``i`` is a pure function of ``(seed, i)`` — generation order,
 partial regeneration (shrinking) and parallel workers all agree (see
-:func:`repro.faults.sampling.derive_rng`).  Deliberately mis-sized
-**self-test** scenarios ride along with ``expect_violation=True``: they
-must be caught by the oracles, proving the campaign has teeth.
+:func:`repro.faults.sampling.derive_rng`).  The generator already solves
+each scenario's sizing to fit its token budget, so it hands back
+:class:`SizedScenario` records and nothing downstream solves again.
+Deliberately mis-sized **self-test** scenarios ride along with
+``expect_violation=True``: they must be caught by the oracles, proving
+the campaign has teeth.
 """
 
 from __future__ import annotations
@@ -119,9 +124,18 @@ class Scenario:
             )
         return _REGISTRY[self.app](AppScale(), seed=self.app_seed)
 
-    def applied_sizing(self, app: StreamingApplication) -> SizingResult:
-        """The Section 3.4 sizing with margin / mis-sizing applied."""
-        sizing = app.sizing()
+    def sized(self) -> "SizedScenario":
+        """This scenario with its application built and sized — one
+        Section 3.4 solve.  Replay, persistence and tests start here; the
+        campaign gets its records from :class:`ScenarioGenerator`."""
+        app = self.build_app()
+        return SizedScenario(self, app, app.sizing())
+
+    def apply_sizing(self, base: SizingResult) -> SizingResult:
+        """``base`` (the exact Section 3.4 sizing of this scenario's
+        application) with the margin / mis-sizing applied.  Pure: never
+        solves."""
+        sizing = base
         if self.capacity_margin != 1.0:
             sizing = dataclasses.replace(
                 sizing,
@@ -143,26 +157,6 @@ class Scenario:
                 sizing, replicator_capacities=(1, 1)
             )
         return sizing
-
-    def specs(self) -> Tuple[TaskSpec, TaskSpec]:
-        """The (reference, duplicated) task pair for this scenario."""
-        app = self.build_app()
-        sizing = self.applied_sizing(app)
-        reference = TaskSpec.reference(
-            app, self.tokens, self.seed, sizing=sizing
-        )
-        duplicated = TaskSpec.duplicated(
-            app,
-            self.tokens,
-            self.seed,
-            sizing=sizing,
-            fault=self.fault,
-            # Mis-sized self-tests may implicate both replicas; let the
-            # run record that rather than abort (the ablation idiom).
-            strict_single_fault=self.missize is None,
-            recovery=self.recovery,
-        )
-        return reference, duplicated
 
     # -- identity ----------------------------------------------------------
 
@@ -195,6 +189,64 @@ class Scenario:
                 tag = "recovery=broken"
             parts.append(tag)
         return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class SizedScenario:
+    """A scenario with its application and exact sizing, solved once.
+
+    The record the campaign passes from generation through spec
+    building, judging, shrinking and the MTTF loop.  ``sizing`` is the
+    margin-free Section 3.4 result for ``app``; it travels *beside* the
+    scenario and never enters :meth:`Scenario.digest`, so carrying it
+    changes no digest.
+    """
+
+    scenario: Scenario
+    app: StreamingApplication
+    sizing: SizingResult
+
+    def applied_sizing(self) -> SizingResult:
+        """The sizing the runs use: margin / mis-sizing applied."""
+        return self.scenario.apply_sizing(self.sizing)
+
+    def specs(self) -> Tuple[TaskSpec, TaskSpec]:
+        """The (reference, duplicated) task pair for this scenario."""
+        scenario = self.scenario
+        sizing = self.applied_sizing()
+        reference = TaskSpec.reference(
+            self.app, scenario.tokens, scenario.seed, sizing=sizing
+        )
+        duplicated = TaskSpec.duplicated(
+            self.app,
+            scenario.tokens,
+            scenario.seed,
+            sizing=sizing,
+            fault=scenario.fault,
+            # Mis-sized self-tests may implicate both replicas; let the
+            # run record that rather than abort (the ablation idiom).
+            strict_single_fault=scenario.missize is None,
+            recovery=scenario.recovery,
+        )
+        return reference, duplicated
+
+    def with_scenario(self, scenario: Scenario) -> "SizedScenario":
+        """``scenario`` carried with this record's app and sizing.
+
+        Only valid for a scenario of the same application (equal
+        ``app``, ``app_seed`` and ``models``) — the shape of every
+        shrink candidate, which changes tokens, warmup, fault and
+        margin only.  Anything else would need a fresh solve, so it is
+        refused rather than silently mis-sized.
+        """
+        ours, theirs = self.scenario, scenario
+        if (theirs.app, theirs.app_seed, theirs.models) != (
+                ours.app, ours.app_seed, ours.models):
+            raise ScenarioError(
+                f"{theirs.label()} is a different application than "
+                f"{ours.label()}; size it with Scenario.sized()"
+            )
+        return SizedScenario(scenario, self.app, self.sizing)
 
 
 # -- JSON round-trip -------------------------------------------------------
@@ -306,19 +358,21 @@ class ScenarioGenerator:
         self.recovery = recovery
         self.sampler = FaultSampler(seed)
 
-    def generate(self, budget: int) -> List[Scenario]:
+    def generate(self, budget: int) -> List[SizedScenario]:
         """The first ``budget`` scenarios of this seed's matrix."""
         return [self.scenario(index) for index in range(budget)]
 
-    def scenario(self, index: int) -> Scenario:
-        """Scenario ``index`` — a pure function of ``(seed, index)``."""
+    def scenario(self, index: int) -> SizedScenario:
+        """Scenario ``index`` — a pure function of ``(seed, index)`` —
+        with the application and sizing its token budget was fitted
+        to."""
         for attempt in range(self.max_attempts):
             candidate = self._sample(index, attempt)
             if candidate is not None:
                 return candidate
         return self._fallback(index)
 
-    def self_tests(self) -> List[Scenario]:
+    def self_tests(self) -> List[SizedScenario]:
         """Deliberately mis-sized scenarios the oracles *must* catch.
 
         Negative indices keep them out of the budgeted matrix; the bursty
@@ -326,6 +380,7 @@ class ScenarioGenerator:
         and capacities demonstrably false-positive (the A1/A3 ablations).
         """
         app = SyntheticApp.bursty(seed=0)
+        sizing = app.sizing()
         models = SyntheticModels(
             producer=app.producer_model,
             replicas=(app.replica_input_models[0],
@@ -335,23 +390,22 @@ class ScenarioGenerator:
         tests = []
         for offset, missize in enumerate(_MISSIZES):
             rng = derive_rng(self.seed, "selftest", missize)
-            tests.append(
-                Scenario(
-                    index=-(offset + 1),
-                    app="synthetic-bursty",
-                    tokens=160,
-                    warmup_tokens=0,
-                    seed=rng.randrange(1_000_000),
-                    models=models,
-                    fault=None,
-                    missize=missize,
-                    expect_violation=True,
-                )
+            scenario = Scenario(
+                index=-(offset + 1),
+                app="synthetic-bursty",
+                tokens=160,
+                warmup_tokens=0,
+                seed=rng.randrange(1_000_000),
+                models=models,
+                fault=None,
+                missize=missize,
+                expect_violation=True,
             )
+            tests.append(SizedScenario(scenario, app, sizing))
         tests.append(self._broken_countermeasure_test())
         return tests
 
-    def _broken_countermeasure_test(self) -> Scenario:
+    def _broken_countermeasure_test(self) -> SizedScenario:
         """The deliberately broken countermeasure the ``recovery``
         oracle *must* catch.
 
@@ -378,10 +432,11 @@ class ScenarioGenerator:
             kind=FAIL_STOP,
         )
         broken = RecoverySpec(reprime=False)
-        return Scenario(
+        sizing = app.sizing()
+        scenario = Scenario(
             index=-(len(_MISSIZES) + 1),
             app=app.name,
-            tokens=warmup + self._post_tokens(app, fault, broken),
+            tokens=warmup + self._post_tokens(period, sizing, fault, broken),
             warmup_tokens=warmup,
             seed=rng.randrange(1_000_000),
             models=models,
@@ -389,10 +444,12 @@ class ScenarioGenerator:
             recovery=broken,
             expect_violation=True,
         )
+        return SizedScenario(scenario, app, sizing)
 
     # -- internals ---------------------------------------------------------
 
-    def _sample(self, index: int, attempt: int) -> Optional[Scenario]:
+    def _sample(self, index: int,
+                attempt: int) -> Optional[SizedScenario]:
         rng = derive_rng(self.seed, "scenario", index, attempt)
         names = [name for name, _ in self.app_weights]
         weights = [weight for _, weight in self.app_weights]
@@ -429,10 +486,13 @@ class ScenarioGenerator:
             margin = rng.choice(MARGIN_CHOICES)
 
         recovery = self.recovery if fault is not None else None
-        tokens = warmup + self._post_tokens(app, fault, recovery)
+        sizing = app.sizing()
+        tokens = warmup + self._post_tokens(
+            app.producer_model.period, sizing, fault, recovery
+        )
         if tokens > self.max_tokens:
             return None
-        return Scenario(
+        scenario = Scenario(
             index=index,
             app=app.name if models is not None else name,
             tokens=tokens,
@@ -444,8 +504,9 @@ class ScenarioGenerator:
             capacity_margin=margin,
             recovery=recovery,
         )
+        return SizedScenario(scenario, app, sizing)
 
-    def _post_tokens(self, app: StreamingApplication,
+    def _post_tokens(self, period: float, sizing: SizingResult,
                      fault: Optional[FaultSpec],
                      recovery: Optional[RecoverySpec] = None) -> int:
         """Tokens past the warmup so detection fits inside the run.
@@ -458,9 +519,9 @@ class ScenarioGenerator:
         detection window's worth of healthy writes) *and* a second
         window past completion, so the post-recovery-equivalence oracle
         has room to observe a broken countermeasure relapse.
+        ``period`` is the producer period and ``sizing`` the exact
+        Section 3.4 result the caller already solved.
         """
-        sizing = app.sizing()
-        period = app.producer_model.period
         bound = max(sizing.selector_detection_bound,
                     sizing.replicator_detection_bound)
         slack = 2 * max(sizing.selector_threshold,
@@ -474,7 +535,7 @@ class ScenarioGenerator:
             post += int(math.ceil(recovery.response_ms / period))
         return post
 
-    def _fallback(self, index: int) -> Scenario:
+    def _fallback(self, index: int) -> SizedScenario:
         """A known-small scenario when every sampled draw was infeasible."""
         rng = derive_rng(self.seed, "fallback", index)
         app = SyntheticApp()
@@ -491,13 +552,17 @@ class ScenarioGenerator:
                 index, app.producer_model.period, warmup
             )
         recovery = self.recovery if fault is not None else None
-        return Scenario(
+        sizing = app.sizing()
+        scenario = Scenario(
             index=index,
             app=app.name,
-            tokens=warmup + self._post_tokens(app, fault, recovery),
+            tokens=warmup + self._post_tokens(
+                app.producer_model.period, sizing, fault, recovery
+            ),
             warmup_tokens=warmup,
             seed=rng.randrange(1_000_000),
             models=models,
             fault=fault,
             recovery=recovery,
         )
+        return SizedScenario(scenario, app, sizing)

@@ -9,6 +9,12 @@ at all, when the violation never needed one.  Each candidate costs one
 budgeted (``max_runs``): first-improvement restarts, like delta
 debugging's simple mode, rather than an exhaustive lattice walk.
 
+Candidates change only tokens, warmup, the fault and the margin — never
+the application or its models — so every candidate reuses the original
+:class:`~repro.campaign.scenario.SizedScenario`'s app and sizing
+(:meth:`~repro.campaign.scenario.SizedScenario.with_scenario`): a shrink
+search runs no Section 3.4 solve.
+
 The invariant that keeps shrinking honest: a reduction is accepted only
 if the candidate violates **an oracle the original violated** — a
 candidate that merely fails differently (e.g. dropping the fault turns a
@@ -28,7 +34,7 @@ from repro.campaign.oracles import (
     OutcomeContext,
     Violation,
 )
-from repro.campaign.scenario import Scenario
+from repro.campaign.scenario import Scenario, SizedScenario
 from repro.exec import ResultCache, SweepExecutor
 from repro.faults.models import FAIL_STOP, FaultSpec
 
@@ -37,8 +43,8 @@ from repro.faults.models import FAIL_STOP, FaultSpec
 class ShrinkResult:
     """Outcome of one shrink search."""
 
-    original: Scenario
-    minimal: Scenario
+    original: SizedScenario
+    minimal: SizedScenario
     #: Oracles the original scenario violated (the shrink target set).
     target_oracles: Tuple[str, ...]
     #: Violations the minimal scenario still exhibits.
@@ -48,28 +54,29 @@ class ShrinkResult:
 
     @property
     def reduced(self) -> bool:
-        return self.minimal.digest() != self.original.digest()
+        return (self.minimal.scenario.digest()
+                != self.original.scenario.digest())
 
     @property
     def token_reduction(self) -> int:
-        return self.original.tokens - self.minimal.tokens
+        return self.original.scenario.tokens - self.minimal.scenario.tokens
 
 
 def _judge(
-    scenario: Scenario,
+    sized: SizedScenario,
     oracles: Sequence[Oracle],
     jobs: int,
     cache: Optional[ResultCache],
     executor: Optional[SweepExecutor] = None,
 ) -> Tuple[Violation, ...]:
     """Execute one scenario and return its oracle violations."""
-    reference_spec, duplicated_spec = scenario.specs()
+    reference_spec, duplicated_spec = sized.specs()
     if executor is None:
         executor = SweepExecutor(jobs=jobs, cache=cache, persistent=False)
     results = executor.run([reference_spec, duplicated_spec])
     ctx = OutcomeContext(
-        scenario=scenario,
-        sizing=scenario.applied_sizing(scenario.build_app()),
+        scenario=sized.scenario,
+        sizing=sized.applied_sizing(),
         reference=results[0],
         duplicated=results[1],
     )
@@ -92,10 +99,11 @@ def _candidates(scenario: Scenario, period: float) -> Iterator[Scenario]:
         )
 
     # 2. Halve the warmup, keeping the fault at the same phase relative
-    #    to the (shorter) warmup — the stream just starts later.
-    if warmup > 0:
-        new_warmup = warmup // 2
-        delta = warmup - new_warmup
+    #    to the (shorter) warmup — the stream just starts later.  A
+    #    scenario that is all warmup must keep at least one token.
+    new_warmup = warmup // 2
+    delta = warmup - new_warmup
+    if delta > 0 and tokens > delta:
         new_fault = fault
         if fault is not None:
             new_time = fault.time - delta * period
@@ -137,7 +145,7 @@ def _candidates(scenario: Scenario, period: float) -> Iterator[Scenario]:
 
 
 def shrink_scenario(
-    scenario: Scenario,
+    sized: SizedScenario,
     oracles: Sequence[Oracle] = ALL_ORACLES,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
@@ -156,26 +164,27 @@ def shrink_scenario(
     """
     runs = 0
     if known_violations is None:
-        baseline = _judge(scenario, oracles, jobs, cache, executor)
+        baseline = _judge(sized, oracles, jobs, cache, executor)
         runs += 1
     else:
         baseline = tuple(known_violations)
     target: FrozenSet[str] = frozenset(v.oracle for v in baseline)
     if not target:
         return ShrinkResult(
-            original=scenario, minimal=scenario, target_oracles=(),
+            original=sized, minimal=sized, target_oracles=(),
             violations=(), runs=runs,
         )
 
-    period = scenario.build_app().producer_model.period
-    current = scenario
+    period = sized.app.producer_model.period
+    current = sized
     current_violations = baseline
     improved = True
     while improved and runs < max_runs:
         improved = False
-        for candidate in _candidates(current, period):
+        for scenario in _candidates(current.scenario, period):
             if runs >= max_runs:
                 break
+            candidate = current.with_scenario(scenario)
             violations = _judge(candidate, oracles, jobs, cache, executor)
             runs += 1
             if target & {v.oracle for v in violations}:
@@ -185,7 +194,7 @@ def shrink_scenario(
                 break
 
     return ShrinkResult(
-        original=scenario,
+        original=sized,
         minimal=current,
         target_oracles=tuple(sorted(target)),
         violations=current_violations,

@@ -415,7 +415,7 @@ def _cmd_campaign(args) -> int:
         print(f"\ncampaign report written to {report_path}")
         for digest, shrunk in sorted(result.shrunk.items()):
             reproducer = Reproducer(
-                scenario=shrunk.minimal,
+                scenario=shrunk.minimal.scenario,
                 target_oracles=shrunk.target_oracles,
                 violations=shrunk.violations,
                 campaign_seed=config.seed,

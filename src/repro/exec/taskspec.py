@@ -17,9 +17,9 @@ run, optionally with a polling baseline monitor attached).  A
   (see ``tests/experiments/test_parallel_identity.py``).
 
 The solved :class:`~repro.rtc.sizing.SizingResult` rides inside the spec:
-every spec builder passes ``sizing=app.sizing()``, so the parent pays the
-Section 3.4 solve once (warm ``size_duplicated_network`` memo) and
-workers never re-solve it.  A spec shipped without a sizing is sized in
+spec builders pass the sizing their caller already solved (the campaign
+solves each scenario once, when it generates it), so workers never
+re-solve it.  A spec shipped without a sizing is sized in
 :func:`~repro.exec.worker.execute_task`.
 """
 

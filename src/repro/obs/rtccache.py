@@ -6,6 +6,12 @@ The Section 3.4 solvers keep three memos:
 * the two ``lru_cache``\\ d PJD curve constructors in
   :mod:`repro.rtc.pjd`.
 
+The campaign does not rely on the full-sizing memo: it solves each
+scenario once and carries the result.  The memos serve the CLI and the
+experiment harnesses, which re-size the same Table 1 models, and these
+statistics feed the run-report gauges and the ``perfbench`` metrics
+``rtc.memo_hit_frac`` / ``rtc.pjd_hit_frac``.
+
 :func:`record_rtc_cache_gauges` snapshots every memo's ``cache_info()``
 hit/miss/size numbers into ``rtc.cache.*`` gauges on a
 :class:`~repro.obs.metrics.MetricsRegistry`, so run reports answer "did

@@ -262,15 +262,18 @@ def size_duplicated_network(
     channels.
 
     Results are memoized on the PJD parameter values (PJD is a frozen,
-    hashable dataclass) — applications and benchmarks re-size the same
-    Table 1 interface models constantly.  Each call returns a fresh
-    :class:`SizingResult` copy, so mutating a result cannot poison the
-    cache.
+    hashable dataclass).  Each call returns a fresh :class:`SizingResult`
+    copy, so mutating a result cannot poison the cache.
 
-    The memo is per-process.  Sweep specs carry their solved
-    :class:`SizingResult` (plain picklable data), so pool workers only
-    solve for specs shipped without one; workers forked after a
-    parent-side solve inherit the warm memo.
+    What the memo still serves: the CLI and the experiment harnesses
+    (Table 2/3 rows, ablations, fault scenarios), which size the same
+    Table 1 models once per row, and the ``rtc.cache.*`` gauges
+    (:mod:`repro.obs.rtccache`) that run reports and the benchmark's
+    memo hit fractions read.  The campaign does not rely on it: each
+    scenario is solved once, when it is generated, and the solved
+    :class:`SizingResult` is carried beside the scenario from then on.
+    Sweep specs carry their sizing too, so pool workers only solve for
+    specs shipped without one.
     """
     key = (
         producer,

@@ -34,11 +34,11 @@ def _models():
     )
 
 
-def _scenario(**kwargs):
+def _sized(**kwargs):
     defaults = dict(index=0, app="synthetic", tokens=60, warmup_tokens=20,
                     seed=5, models=_models())
     defaults.update(kwargs)
-    return Scenario(**defaults)
+    return Scenario(**defaults).sized()
 
 
 def _clean(kind):
@@ -57,14 +57,14 @@ def _false_positive(kind):
 class TestVerdicts:
     def test_clean_scenario_passes(self):
         outcome = evaluate_scenario(
-            _scenario(), _clean(KIND_REFERENCE), _clean(KIND_DUPLICATED)
+            _sized(), _clean(KIND_REFERENCE), _clean(KIND_DUPLICATED)
         )
         assert outcome.verdict == VERDICT_PASS
         assert outcome.passed
 
     def test_unexpected_violation(self):
         outcome = evaluate_scenario(
-            _scenario(), _clean(KIND_REFERENCE),
+            _sized(), _clean(KIND_REFERENCE),
             _false_positive(KIND_DUPLICATED),
         )
         assert outcome.verdict == VERDICT_VIOLATION
@@ -74,7 +74,7 @@ class TestVerdicts:
         }
 
     def test_self_test_passes_by_violating(self):
-        selftest = _scenario(missize=MISSIZE_CAPACITY,
+        selftest = _sized(missize=MISSIZE_CAPACITY,
                              expect_violation=True)
         outcome = evaluate_scenario(
             selftest, _clean(KIND_REFERENCE),
@@ -84,7 +84,7 @@ class TestVerdicts:
         assert outcome.passed
 
     def test_self_test_that_stays_silent_fails(self):
-        selftest = _scenario(missize=MISSIZE_CAPACITY,
+        selftest = _sized(missize=MISSIZE_CAPACITY,
                              expect_violation=True)
         outcome = evaluate_scenario(
             selftest, _clean(KIND_REFERENCE), _clean(KIND_DUPLICATED)
@@ -106,30 +106,30 @@ class TestCampaignDigest:
                                  duplicated)
 
     def test_digest_reflects_verdicts(self):
-        scenario = _scenario()
+        scenario = _sized()
         passing = self._result([self._outcome(scenario, violating=False)])
         failing = self._result([self._outcome(scenario, violating=True)])
         assert passing.digest() != failing.digest()
 
     def test_digest_stable_for_equal_content(self):
-        a = self._result([self._outcome(_scenario(), violating=False)])
-        b = self._result([self._outcome(_scenario(), violating=False)])
+        a = self._result([self._outcome(_sized(), violating=False)])
+        b = self._result([self._outcome(_sized(), violating=False)])
         assert a.digest() == b.digest()
 
     def test_failures_and_ok(self):
-        outcome = self._outcome(_scenario(), violating=True)
+        outcome = self._outcome(_sized(), violating=True)
         result = self._result([outcome])
         assert result.failures == [outcome]
         assert not result.ok
         assert self._result(
-            [self._outcome(_scenario(), violating=False)]
+            [self._outcome(_sized(), violating=False)]
         ).ok
 
 
 class TestExecution:
     def test_run_scenario_returns_ordered_pair(self):
-        reference, duplicated = run_scenario(_scenario(tokens=40,
-                                                       warmup_tokens=10))
+        reference, duplicated = run_scenario(_sized(tokens=40,
+                                                    warmup_tokens=10))
         assert reference.kind == KIND_REFERENCE
         assert duplicated.kind == KIND_DUPLICATED
         assert reference.ok and duplicated.ok
@@ -169,8 +169,8 @@ class TestExecution:
         from repro.campaign.scenario import ScenarioGenerator
 
         [broken] = [t for t in ScenarioGenerator(seed=7).self_tests()
-                    if t.recovery is not None]
-        assert not broken.recovery.reprime
+                    if t.scenario.recovery is not None]
+        assert not broken.scenario.recovery.reprime
         reference, duplicated = run_scenario(broken)
         outcome = evaluate_scenario(broken, reference, duplicated)
         assert outcome.verdict == VERDICT_EXPECTED
@@ -186,6 +186,47 @@ class TestExecution:
         assert result.oracle_names == ("run-ok",)
         assert all(o.verdict == VERDICT_MISSED for o in result.outcomes)
         assert not result.ok
+
+
+#: ``run_campaign(CampaignConfig(seed=7, budget=12, jobs=1))``: the
+#: campaign digest and, per violated scenario digest, the digest of its
+#: shrunk minimal reproducer.  Any change to generation, sizing, the
+#: oracles or the shrink search that moves a result moves these.
+PINNED_CAMPAIGN_DIGEST = (
+    "823c8d6b599773d13aecd8c65c48943a11d0ec2570ed88a6ac15d3f02044845e"
+)
+PINNED_SHRUNK_DIGESTS = {
+    "57177d1dab9d2c3a57395f6ebf1efcd6eeb0e4625ecf63ec9a098166ba288878":
+        "4ee91bdc5244bd1e6f8784a0fcd3c5434671e75477e93ecfebcb506c0286cac7",
+    "aa4bbfb49ae3d5ea4f63c47d99f97dc0f3921188cf8b0dd4669c595e8aa8c3db":
+        "d0c4ed3e6d653de53b5bc01a75f4beea9c7cd50dbf3aceed586ac937562fa7c2",
+    "fc494b0f7f621ab3443865e2d6a7410a00221b9ecc8de195a4f973b7033b4cb8":
+        "3e7f6ce2b702eaa1e8d4d6b351616910d2ea31fe0b6683de8250dec237c8a9c2",
+}
+
+
+class TestSizeOnce:
+    def test_campaign_digests_are_pinned(self):
+        result = run_campaign(CampaignConfig(seed=7, budget=12, jobs=1))
+        assert result.digest() == PINNED_CAMPAIGN_DIGEST
+        assert {
+            digest: shrunk.minimal.scenario.digest()
+            for digest, shrunk in result.shrunk.items()
+        } == PINNED_SHRUNK_DIGESTS
+
+    def test_campaign_solves_only_while_generating(self, solve_counter):
+        """Spec building, judging and shrinking reuse the sizing solved
+        at generation: no Section 3.4 solve (memo hit or not) happens
+        anywhere else in a campaign."""
+        result = run_campaign(CampaignConfig(seed=7, budget=12, jobs=1))
+        assert result.shrunk  # the shrink search ran
+        assert sum(s.runs for s in result.shrunk.values()) > len(
+            result.shrunk)
+        assert solve_counter.elsewhere == 0
+        # One solve per sampled draw (seed 7 rejects none of its 12) and
+        # one per self-test application (the two mis-sized self-tests
+        # share the bursty app): nothing is solved twice.
+        assert solve_counter.generating == 12 + 2
 
 
 class TestStreaming:

@@ -29,6 +29,21 @@ def _run(**overrides):
     return run_mttf_campaign(MttfConfig(**config))
 
 
+class TestPinned:
+    def test_triple_is_pinned(self, solve_counter):
+        """The dependability triple is part of the results contract;
+        every cycle reuses the sizing its scenario was generated with."""
+        result = run_mttf_campaign(MttfConfig(
+            seed=11, max_cycles=8, min_cycles=4, window=4, jobs=1))
+        assert len(result.cycles) == 5
+        assert result.mttf_ms == 643.8947944428529
+        assert result.mttr_ms == 50.08888276401329
+        assert result.availability == 0.9278241197752515
+        assert solve_counter.elsewhere == 0
+        # Two batches of four generated cycles, one solve each.
+        assert solve_counter.generating == 8
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -244,7 +244,24 @@ class TestReplay:
 
 class TestRunReport:
     def test_save_run_report_writes_valid_artifact(self, tmp_path):
-        path = save_run_report(_scenario(tokens=40, warmup_tokens=10),
-                               tmp_path / "report.json")
+        path = save_run_report(
+            _scenario(tokens=40, warmup_tokens=10).sized(),
+            tmp_path / "report.json",
+        )
         document = json.loads(path.read_text())
         assert document["schema"] == "repro.run-report/1"
+
+    def test_report_describes_the_closed_loop_run(self, tmp_path):
+        """A closed-loop reproducer's report must describe the run the
+        oracles judged — recovery armed — not an open-loop rerun."""
+        from repro.campaign.engine import run_scenario
+        from repro.campaign.scenario import ScenarioGenerator
+
+        [broken] = [t for t in ScenarioGenerator(seed=1).self_tests()
+                    if t.scenario.recovery is not None]
+        _reference, duplicated = run_scenario(broken)
+        path = save_run_report(broken, tmp_path / "report.json")
+        document = json.loads(path.read_text())
+        assert document["throughput"]["events"] == duplicated.events
+        assert document["detection"]["reports"] == len(
+            duplicated.detections)

@@ -1,15 +1,18 @@
 """Tests for campaign scenarios and the seeded matrix generator."""
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.campaign.scenario import (
+    MARGIN_CHOICES,
     MISSIZE_CAPACITY,
     MISSIZE_THRESHOLD,
     Scenario,
     ScenarioError,
     ScenarioGenerator,
+    SizedScenario,
     SyntheticModels,
     scenario_from_jsonable,
     scenario_to_jsonable,
@@ -56,16 +59,15 @@ class TestValidation:
 class TestSpecs:
     def test_pair_kinds_and_shared_sizing(self):
         scenario = _scenario()
-        reference, duplicated = scenario.specs()
+        reference, duplicated = scenario.sized().specs()
         assert reference.kind == KIND_REFERENCE
         assert duplicated.kind == KIND_DUPLICATED
         assert reference.sizing == duplicated.sizing
         assert reference.tokens == duplicated.tokens == scenario.tokens
 
     def test_margin_scales_capacities_not_thresholds(self):
-        app = _scenario().build_app()
-        exact = _scenario().applied_sizing(app)
-        padded = _scenario(capacity_margin=2.0).applied_sizing(app)
+        exact = _scenario().build_app().sizing()
+        padded = _scenario(capacity_margin=2.0).apply_sizing(exact)
         assert padded.replicator_capacities == tuple(
             2 * c for c in exact.replicator_capacities
         )
@@ -73,26 +75,102 @@ class TestSpecs:
         assert padded.replicator_threshold == exact.replicator_threshold
 
     def test_missize_threshold(self):
-        app = _scenario().build_app()
+        base = _scenario().build_app().sizing()
         sizing = _scenario(
             missize=MISSIZE_THRESHOLD, expect_violation=True
-        ).applied_sizing(app)
+        ).apply_sizing(base)
         assert sizing.selector_threshold == 1
         assert sizing.replicator_threshold == 1
 
     def test_missize_capacity(self):
-        app = _scenario().build_app()
+        base = _scenario().build_app().sizing()
         sizing = _scenario(
             missize=MISSIZE_CAPACITY, expect_violation=True
-        ).applied_sizing(app)
+        ).apply_sizing(base)
         assert sizing.replicator_capacities == (1, 1)
 
     def test_missized_runs_drop_strict_single_fault(self):
         _, duplicated = _scenario(missize=MISSIZE_CAPACITY,
-                                  expect_violation=True).specs()
+                                  expect_violation=True).sized().specs()
         assert duplicated.strict_single_fault is False
-        _, healthy = _scenario().specs()
+        _, healthy = _scenario().sized().specs()
         assert healthy.strict_single_fault is True
+
+
+def _solve_and_apply(scenario, app):
+    """The sizing a scenario's runs use, solved from scratch: a fresh
+    Section 3.4 solve with the margin / mis-sizing transform spelled
+    out independently of :meth:`Scenario.apply_sizing`."""
+    sizing = app.sizing()
+    margin = scenario.capacity_margin
+    if margin != 1.0:
+        sizing = dataclasses.replace(
+            sizing,
+            replicator_capacities=tuple(
+                int(math.ceil(c * margin))
+                for c in sizing.replicator_capacities),
+            selector_capacities=tuple(
+                int(math.ceil(c * margin))
+                for c in sizing.selector_capacities),
+        )
+    if scenario.missize == MISSIZE_THRESHOLD:
+        sizing = dataclasses.replace(
+            sizing, selector_threshold=1, replicator_threshold=1)
+    elif scenario.missize == MISSIZE_CAPACITY:
+        sizing = dataclasses.replace(sizing, replicator_capacities=(1, 1))
+    return sizing
+
+
+class TestSizeOnce:
+    """The sizing solved at generation and carried beside the scenario
+    is exactly what a fresh solve would give."""
+
+    @pytest.mark.parametrize("margin", (1.0,) + MARGIN_CHOICES)
+    @pytest.mark.parametrize("missize",
+                             (None, MISSIZE_THRESHOLD, MISSIZE_CAPACITY))
+    def test_apply_sizing_matches_a_fresh_solve(self, margin, missize):
+        scenario = _scenario(capacity_margin=margin, missize=missize,
+                             expect_violation=missize is not None)
+        base = scenario.sized().sizing
+        fresh = _solve_and_apply(scenario, scenario.build_app())
+        assert scenario.apply_sizing(base) == fresh
+
+    def test_apply_sizing_never_solves(self, monkeypatch):
+        import repro.apps.base
+
+        base = _scenario().build_app().sizing()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("apply_sizing solved")
+
+        monkeypatch.setattr(repro.apps.base, "size_duplicated_network",
+                            refuse)
+        for margin in MARGIN_CHOICES:
+            _scenario(capacity_margin=margin).apply_sizing(base)
+
+    def test_generated_records_match_a_fresh_solve(self):
+        generator = ScenarioGenerator(seed=7)
+        records = generator.generate(20) + generator.self_tests()
+        assert all(isinstance(r, SizedScenario) for r in records)
+        for record in records:
+            fresh = record.scenario.sized()
+            assert record.sizing == fresh.sizing
+            assert record.applied_sizing() == _solve_and_apply(
+                record.scenario, fresh.app)
+            assert ([s.digest() for s in record.specs()]
+                    == [s.digest() for s in fresh.specs()])
+
+    def test_with_scenario_refuses_another_application(self):
+        record = _scenario().sized()
+        shorter = dataclasses.replace(record.scenario, tokens=40)
+        assert record.with_scenario(shorter).sizing is record.sizing
+        other = _scenario(models=SyntheticModels(
+            producer=PJD(12.0, 1.0, 12.0),
+            replicas=(PJD(12.0, 2.0, 12.0), PJD(12.0, 8.0, 12.0)),
+            consumer=PJD(12.0, 1.0, 12.0),
+        ))
+        with pytest.raises(ScenarioError):
+            record.with_scenario(other)
 
 
 class TestDigest:
@@ -142,24 +220,26 @@ class TestGenerator:
     def test_budget_respected(self):
         scenarios = ScenarioGenerator(seed=7).generate(15)
         assert len(scenarios) == 15
-        assert [s.index for s in scenarios] == list(range(15))
+        assert [s.scenario.index for s in scenarios] == list(range(15))
 
     def test_all_scenarios_feasible(self):
         generator = ScenarioGenerator(seed=7)
-        for scenario in generator.generate(30):
+        for sized in generator.generate(30):
+            scenario = sized.scenario
             assert 1 <= scenario.tokens <= generator.max_tokens
             assert scenario.warmup_tokens <= scenario.tokens
-            # The pair must at least build (sizing solvable).
-            scenario.specs()
+            # The pair must at least build.
+            sized.specs()
 
     def test_covers_faulted_and_fault_free(self):
-        scenarios = ScenarioGenerator(seed=7).generate(40)
+        generated = ScenarioGenerator(seed=7).generate(40)
+        scenarios = [s.scenario for s in generated]
         kinds = {s.fault.kind for s in scenarios if s.fault is not None}
         assert kinds  # faults occur
         assert any(s.fault is None for s in scenarios)
 
     def test_self_tests_expect_violation(self):
-        tests = ScenarioGenerator(seed=7).self_tests()
+        tests = [t.scenario for t in ScenarioGenerator(seed=7).self_tests()]
         missized = [t for t in tests if t.missize is not None]
         assert {t.missize for t in missized} == {MISSIZE_THRESHOLD,
                                                  MISSIZE_CAPACITY}
@@ -171,8 +251,9 @@ class TestGenerator:
         assert all(t.index < 0 for t in tests)
 
     def test_fault_time_lands_after_warmup(self):
-        for scenario in ScenarioGenerator(seed=3).generate(40):
+        for sized in ScenarioGenerator(seed=3).generate(40):
+            scenario = sized.scenario
             if scenario.fault is None:
                 continue
-            period = scenario.build_app().producer_model.period
+            period = sized.app.producer_model.period
             assert scenario.fault.time > scenario.warmup_tokens * period

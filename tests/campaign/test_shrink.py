@@ -74,6 +74,10 @@ class TestCandidates:
         assert any(c.fault is None
                    for c in _candidates(_scenario(fault=fault), PERIOD))
 
+    def test_all_warmup_scenario_keeps_a_token(self):
+        scenario = _scenario(tokens=1, warmup_tokens=1)
+        assert all(c.tokens >= 1 for c in _candidates(scenario, PERIOD))
+
     def test_candidates_never_grow(self):
         fault = FaultSpec(replica=0, time=400.0, kind=RATE_DEGRADE,
                           slowdown=2.0)
@@ -97,7 +101,8 @@ class TestShrinkSearch:
             consumer=app.consumer_model,
         )
         return _scenario(tokens=40, warmup_tokens=0, models=models,
-                         missize=MISSIZE_CAPACITY, expect_violation=True)
+                         missize=MISSIZE_CAPACITY,
+                         expect_violation=True).sized()
 
     def test_shrinks_while_preserving_the_violation(self):
         result = shrink_scenario(self._violating(), max_runs=10)
@@ -125,8 +130,8 @@ class TestShrinkSearch:
         assert seeded.reduced
 
     def test_non_violating_scenario_is_left_alone(self):
-        result = shrink_scenario(_scenario(tokens=40, warmup_tokens=10),
-                                 max_runs=10)
+        result = shrink_scenario(
+            _scenario(tokens=40, warmup_tokens=10).sized(), max_runs=10)
         assert result.target_oracles == ()
         assert result.violations == ()
         assert not result.reduced
@@ -140,16 +145,17 @@ class TestShrinkSearch:
         import repro.campaign.shrink as shrink_module
         from repro.campaign.oracles import Violation
 
-        def fake_judge(scenario, oracles, jobs, cache, executor=None):
-            if scenario.fault is not None:
+        def fake_judge(sized, oracles, jobs, cache, executor=None):
+            if sized.scenario.fault is not None:
                 return (Violation("detection-latency", "stub"),)
             return ()
 
         monkeypatch.setattr(shrink_module, "_judge", fake_judge)
         fault = FaultSpec(replica=0, time=350.0, kind=FAIL_STOP)
         scenario = _scenario(tokens=60, warmup_tokens=30, fault=fault)
-        result = shrink_scenario(scenario, max_runs=30)
+        result = shrink_scenario(scenario.sized(), max_runs=30)
         assert result.target_oracles == ("detection-latency",)
-        assert result.minimal.fault is not None  # drop-fault rejected
+        minimal = result.minimal.scenario
+        assert minimal.fault is not None  # drop-fault rejected
         assert result.reduced  # but same-oracle reductions were taken
-        assert result.minimal.tokens < scenario.tokens
+        assert minimal.tokens < scenario.tokens

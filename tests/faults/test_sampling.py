@@ -102,15 +102,18 @@ class TestScenarioOrderIndependence:
         # Probe out of order, interleaved with unrelated generations.
         for index in (11, 3, 0, 7, 5):
             fresh.generate(2)
-            assert fresh.scenario(index).digest() == batch[index].digest()
+            assert (fresh.scenario(index).scenario.digest()
+                    == batch[index].scenario.digest())
 
     def test_self_tests_deterministic(self):
-        first = [s.digest() for s in ScenarioGenerator(seed=7).self_tests()]
-        second = [s.digest()
+        first = [s.scenario.digest()
+                 for s in ScenarioGenerator(seed=7).self_tests()]
+        second = [s.scenario.digest()
                   for s in ScenarioGenerator(seed=7).self_tests()]
         assert first == second
 
     def test_different_seeds_differ(self):
         a = ScenarioGenerator(seed=1).generate(6)
         b = ScenarioGenerator(seed=2).generate(6)
-        assert [s.digest() for s in a] != [s.digest() for s in b]
+        assert ([s.scenario.digest() for s in a]
+                != [s.scenario.digest() for s in b])
