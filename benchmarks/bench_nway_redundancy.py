@@ -3,15 +3,17 @@
 The paper's framework generalises to ``n`` replicas tolerating ``n - 1``
 timing faults.  This bench sweeps n = 2..4 and reports the resource bill
 (FIFO slots, priming tokens) and the detection latency of the first
-fault — the trade a designer pays for extra fault budget.
+fault — the trade a designer pays for extra fault budget.  Every ``n``
+goes through the same sizing and duplicated-network builder as the
+paper's pair; only the number of replica models changes.
 """
 
 from repro.analysis.tables import format_table
-from repro.core.duplicate import NetworkBlueprint
-from repro.core.nway import build_nway, size_nway_network
+from repro.core.duplicate import NetworkBlueprint, build_duplicated
 from repro.kpn.network import Network
 from repro.kpn.process import PacedRelay, PeriodicConsumer, PeriodicSource
 from repro.rtc.pjd import PJD
+from repro.rtc.sizing import size_duplicated_network
 
 PRODUCER = PJD(10.0, 1.0, 10.0)
 CONSUMER = PJD(10.0, 1.0, 10.0)
@@ -53,19 +55,19 @@ def _blueprint(consumer_tokens: int, seed: int) -> NetworkBlueprint:
 
 def _one_configuration(n: int, seed: int):
     models = VARIANTS[:n]
-    sizing = size_nway_network(PRODUCER, models, models, CONSUMER)
-    nway = build_nway(
+    sizing = size_duplicated_network(PRODUCER, models, models, CONSUMER)
+    network = build_duplicated(
         _blueprint(TOKENS + sizing.selector_priming, seed), sizing
     )
-    sim = nway.network.instantiate()
+    sim = network.network.instantiate()
 
     def kill():
-        for process in nway.replicas[0]:
+        for process in network.replicas[0]:
             sim.kill(process.name)
 
     sim.schedule_at(FAULT_AT, kill)
     sim.run(max_events=400_000)
-    report = nway.detection_log.first(replica=0)
+    report = network.detection_log.first(replica=0)
     latency = report.time - FAULT_AT if report else None
     slots = sum(sizing.replicator_capacities) + sum(
         sizing.selector_capacities
@@ -77,9 +79,9 @@ def _one_configuration(n: int, seed: int):
         "priming": sizing.selector_priming,
         "D": sizing.selector_threshold,
         "first-fault latency (ms)": latency,
-        "consumer stalls": nway.consumer.stalls,
+        "consumer stalls": network.consumer.stalls,
         "tokens delivered": len(
-            [t for t in nway.consumer.tokens if t.seqno > 0]
+            [t for t in network.consumer.tokens if t.seqno > 0]
         ),
     }
 

@@ -4,18 +4,19 @@
 The paper notes its two-replica setup "can be easily relaxed by adding
 more replicas ... using the principles outlined in this paper".  This
 example builds the 3-way network, kills replica 1 mid-run and replica 3
-later, and shows the consumer never noticing either fault — the n-way
-channels detect and isolate each replica in turn and finish on the last
-survivor.
+later, and shows the consumer never noticing either fault — the
+replicator and selector detect and isolate each replica in turn and
+finish on the last survivor.  It is the paper's duplicated network with
+three replica models instead of two: the same sizing and builder.
 
 Run:  python examples/triple_modular_redundancy.py
 """
 
-from repro.core.duplicate import NetworkBlueprint
-from repro.core.nway import build_nway, size_nway_network
+from repro.core.duplicate import NetworkBlueprint, build_duplicated
 from repro.kpn.network import Network
 from repro.kpn.process import PacedRelay, PeriodicConsumer, PeriodicSource
 from repro.rtc.pjd import PJD
+from repro.rtc.sizing import size_duplicated_network
 
 PRODUCER = PJD(10.0, 1.0, 10.0)
 CONSUMER = PJD(10.0, 1.0, 10.0)
@@ -50,7 +51,7 @@ def blueprint(consumer_tokens: int) -> NetworkBlueprint:
 
 
 def main() -> None:
-    sizing = size_nway_network(PRODUCER, VARIANTS, VARIANTS, CONSUMER)
+    sizing = size_duplicated_network(PRODUCER, VARIANTS, VARIANTS, CONSUMER)
     print("3-way sizing:")
     print(f"  replicator capacities : {sizing.replicator_capacities}")
     print(f"  selector capacities   : {sizing.selector_capacities}")
@@ -61,29 +62,29 @@ def main() -> None:
           f"{sizing.replicator_threshold}")
     print()
 
-    nway = build_nway(blueprint(TOKENS + sizing.selector_priming), sizing)
-    sim = nway.network.instantiate()
+    tmr = build_duplicated(blueprint(TOKENS + sizing.selector_priming), sizing)
+    sim = tmr.network.instantiate()
 
     fault_times = {0: 400.0, 2: 900.0}
     for replica, at in fault_times.items():
         def kill(r=replica):
-            for process in nway.replicas[r]:
+            for process in tmr.replicas[r]:
                 sim.kill(process.name)
         sim.schedule_at(at, kill)
 
     sim.run()
 
     print("Faults: replica 1 killed at t=400 ms, replica 3 at t=900 ms")
-    for report in nway.detection_log:
+    for report in tmr.detection_log:
         latency = report.time - fault_times[report.replica]
         print(f"  replica {report.replica + 1} flagged at the "
               f"{report.site:<10s} +{latency:6.1f} ms after its fault "
               f"[{report.mechanism}]")
     print()
-    real = [t for t in nway.consumer.tokens if t.seqno > 0]
+    real = [t for t in tmr.consumer.tokens if t.seqno > 0]
     ordered = [t.seqno for t in real] == list(range(1, TOKENS + 1))
     print(f"Consumer: {len(real)}/{TOKENS} tokens, in order: {ordered}, "
-          f"stalls: {nway.consumer.stalls}")
+          f"stalls: {tmr.consumer.stalls}")
     print("Two faults tolerated; the last survivor carried the stream.")
 
 

@@ -26,8 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.campaign.oracles import (
     ALL_ORACLES,
     Oracle,
-    OutcomeContext,
     Violation,
+    judge,
     oracles_by_name,
 )
 from repro.campaign.scenario import (
@@ -186,20 +186,10 @@ def evaluate_scenario(
     oracles: Sequence[Oracle] = ALL_ORACLES,
 ) -> ScenarioOutcome:
     """Judge one executed scenario against the oracle suite."""
-    scenario = sized.scenario
-    ctx = OutcomeContext(
-        scenario=scenario,
-        sizing=sized.applied_sizing(),
-        reference=reference,
-        duplicated=duplicated,
-    )
-    violations: List[Violation] = []
-    for oracle in oracles:
-        violations.extend(oracle(ctx))
     return ScenarioOutcome(
         sized=sized,
-        digest=scenario.digest(),
-        violations=tuple(violations),
+        digest=sized.scenario.digest(),
+        violations=judge(sized, reference, duplicated, oracles),
         reference=reference,
         duplicated=duplicated,
     )
@@ -275,12 +265,16 @@ def run_campaign(
             violated = [o for o in result.outcomes if o.violations]
             for outcome in violated:
                 say(f"shrinking {outcome.scenario.label()} ...")
+                # The main batch has judged this scenario already: its
+                # violations are the shrink baseline, so every shrink run
+                # goes to a candidate.
                 result.shrunk[outcome.digest] = shrink_scenario(
                     outcome.sized,
                     oracles=oracles,
                     jobs=config.jobs,
                     cache=config.cache,
                     max_runs=config.max_shrink_runs,
+                    known_violations=outcome.violations,
                     executor=executor,
                 )
     finally:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.scenario import Scenario
+from repro.campaign.scenario import Scenario, SizedScenario
 from repro.exec.results import TaskResult
 from repro.faults.models import FAIL_STOP
 from repro.rtc.sizing import SizingResult
@@ -347,3 +347,27 @@ def oracles_by_name(
     # Preserve canonical order, drop duplicates.
     wanted = set(names)
     return tuple(o for o in ALL_ORACLES if o.name in wanted)
+
+
+def judge(
+    sized: SizedScenario,
+    reference: TaskResult,
+    duplicated: TaskResult,
+    oracles: Sequence[Oracle] = ALL_ORACLES,
+) -> Tuple[Violation, ...]:
+    """Every violation ``oracles`` prove on one executed scenario.
+
+    The one place a (reference, duplicated) result pair is judged: the
+    campaign's main batch and each shrink candidate both come here.
+    Violations are in oracle order.
+    """
+    ctx = OutcomeContext(
+        scenario=sized.scenario,
+        sizing=sized.applied_sizing(),
+        reference=reference,
+        duplicated=duplicated,
+    )
+    violations: List[Violation] = []
+    for oracle in oracles:
+        violations.extend(oracle(ctx))
+    return tuple(violations)

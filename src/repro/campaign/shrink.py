@@ -26,14 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
-from repro.campaign.oracles import (
-    ALL_ORACLES,
-    Oracle,
-    OutcomeContext,
-    Violation,
-)
+from repro.campaign.oracles import ALL_ORACLES, Oracle, Violation, judge
 from repro.campaign.scenario import Scenario, SizedScenario
 from repro.exec import ResultCache, SweepExecutor
 from repro.faults.models import FAIL_STOP, FaultSpec
@@ -73,17 +68,8 @@ def _judge(
     reference_spec, duplicated_spec = sized.specs()
     if executor is None:
         executor = SweepExecutor(jobs=jobs, cache=cache, persistent=False)
-    results = executor.run([reference_spec, duplicated_spec])
-    ctx = OutcomeContext(
-        scenario=sized.scenario,
-        sizing=sized.applied_sizing(),
-        reference=results[0],
-        duplicated=results[1],
-    )
-    violations: List[Violation] = []
-    for oracle in oracles:
-        violations.extend(oracle(ctx))
-    return tuple(violations)
+    reference, duplicated = executor.run([reference_spec, duplicated_spec])
+    return judge(sized, reference, duplicated, oracles)
 
 
 def _candidates(scenario: Scenario, period: float) -> Iterator[Scenario]:

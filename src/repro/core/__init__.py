@@ -6,7 +6,8 @@
 * :class:`~repro.core.selector.SelectorChannel` — Section 3.1 rules S1-S3
   plus stall- and divergence-based fault detection;
 * :mod:`~repro.core.duplicate` — constructing the reference and duplicated
-  process networks of Figure 1 from one application blueprint;
+  process networks of Figure 1 from one application blueprint (the same
+  channel pair builds the n-replica network tolerating n - 1 faults);
 * :mod:`~repro.core.equivalence` — runtime-checkable forms of Lemma 1 and
   Theorem 2;
 * :mod:`~repro.core.overhead` — the memory/runtime overhead accounting of
@@ -31,14 +32,6 @@ from repro.core.equivalence import (
     output_values_equal,
 )
 from repro.core.overhead import OverheadModel, OverheadReport
-from repro.core.nway import (
-    NWayNetwork,
-    NWayReplicatorChannel,
-    NWaySelectorChannel,
-    NWaySizing,
-    build_nway,
-    size_nway_network,
-)
 from repro.core.failsilent import LockstepProcess, ValueFaultInjector
 from repro.core.ringbuffer import RingBufferReplicator
 from repro.core.multiport import (
@@ -60,12 +53,6 @@ __all__ = [
     "MultiPortSizing",
     "build_multiport",
     "size_multiport_network",
-    "NWayNetwork",
-    "NWayReplicatorChannel",
-    "NWaySelectorChannel",
-    "NWaySizing",
-    "build_nway",
-    "size_nway_network",
     "DetectionLog",
     "FaultReport",
     "ReplicatorChannel",

@@ -20,6 +20,40 @@ MECHANISM_STALL = "stall"  # selector: space_k > |S_k|
 MECHANISM_VALUE = "value-mismatch"  # optional fail-silent assumption check
 
 
+def lagging(counts, fault, threshold: int):
+    """Healthy replicas whose counter lags the healthy front by more than
+    ``threshold`` — the divergence rule (Eq. 5's ``D``) for any number of
+    replicas.
+
+    ``counts[k]`` is replica ``k``'s token counter and ``fault[k]`` its
+    flag.  Divergence is only defined between healthy replicas, so there
+    is no laggard unless two or more are healthy; with two replicas only
+    the slower one can lag.
+    """
+    healthy = [k for k, flagged in enumerate(fault) if not flagged]
+    if len(healthy) < 2:
+        return []
+    front = max([counts[k] for k in healthy])
+    return [k for k in healthy if front - counts[k] > threshold]
+
+
+def all_flagged_message(channel: str, n: int, undersized: str) -> str:
+    """The error raised when every one of ``n`` replicas is flagged.
+
+    ``n`` replicas tolerate ``n - 1`` faults, so flagging the last healthy
+    one means the fault budget was exceeded or ``undersized`` (the
+    channel's design-time numbers) were too small.
+    """
+    if n == 2:
+        subject, budget = "both replicas", "single-fault"
+    else:
+        subject, budget = f"all {n} replicas", f"{n - 1}-fault"
+    return (
+        f"{channel}: {subject} flagged faulty — {budget} assumption "
+        f"violated (or {undersized} under-sized)"
+    )
+
+
 @dataclass(frozen=True)
 class FaultReport:
     """One fault-detection event.

@@ -8,7 +8,9 @@ module assembles either topology from it:
   un-replicated network at the top of Figure 1);
 * :func:`build_duplicated` — ``P -> replicator -> {R_1, R_2} -> selector
   -> C`` (the bottom of Figure 1), parameterised by a
-  :class:`~repro.rtc.sizing.SizingResult`.
+  :class:`~repro.rtc.sizing.SizingResult`.  A sizing for ``n`` replicas
+  builds ``{R_1 .. R_n}`` with the same channel pair, tolerating
+  ``n - 1`` faults (the paper's Section 1 generalisation).
 
 Design diversity between replicas (Section 2: "sufficient design diversity
 in order to prevent common-mode faults") is expressed by the ``variant``
@@ -55,7 +57,7 @@ class NetworkBlueprint:
     make_critical:
         ``f(net, prefix, variant, input_ep, output_ep) -> [Process]``
         adding one copy of the critical subnetwork.  ``variant`` selects
-        the design-diversity variant (0 or 1).
+        the design-diversity variant (``0 .. n-1``, one per replica).
     make_consumer:
         ``f(net) -> Process`` adding the consumer; its ``input`` endpoint
         is wired by the builders.
@@ -189,7 +191,9 @@ def build_duplicated(
     """Assemble the duplicated network of Figure 1 (bottom).
 
     The replicator and selector are parameterised from ``sizing``:
-    capacities from Eq. 3/4, divergence thresholds from Eq. 5.
+    capacities from Eq. 3/4, divergence thresholds from Eq. 5.  The
+    network has one replica per sizing entry (``sizing.n``), built with
+    variants ``0 .. n-1``.
     ``replicator_divergence=False`` restricts the replicator to the
     occupancy-based detection only (the paper's primary mechanism there).
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) threads
@@ -210,9 +214,8 @@ def build_duplicated(
             sizing.replicator_threshold if replicator_divergence else None
         ),
         transfer_latency=blueprint.transfer_latency,
-        traces=(
-            recorder.channel("replicator.R1"),
-            recorder.channel("replicator.R2"),
+        traces=tuple(
+            recorder.channel(f"replicator.R{k + 1}") for k in range(sizing.n)
         ),
         detection_log=log,
         strict_single_fault=strict_single_fault,
@@ -242,7 +245,7 @@ def build_duplicated(
     consumer.input = selector.reader
 
     replicas: List[List[Process]] = []
-    for replica_index in (0, 1):
+    for replica_index in range(sizing.n):
         processes = blueprint.make_critical(
             net,
             f"R{replica_index + 1}",

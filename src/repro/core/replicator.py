@@ -1,14 +1,14 @@
 """The replicator channel (Section 3.1, rules R1-R3; detection: Section 3.3).
 
-One writing interface (the producer ``P``), two reading interfaces (the
-replicas ``R_1`` and ``R_2``).  Internally two FIFO queues of capacities
-``|R_1|`` and ``|R_2|``:
+One writing interface (the producer ``P``), one reading interface per
+replica ``R_1 .. R_n`` (``n = 2`` in the paper).  Internally one FIFO
+queue per replica, of capacity ``|R_k|``:
 
 1. each queue has ``fill_k`` / ``space_k`` variables, initially
    ``fill_k = 0``, ``space_k = |R_k|``;
 2. each reading interface destructively and blockingly reads its own queue;
-3. a write enqueues the token into *both* queues if
-   ``min(space_1, space_2) > 0``, else it blocks.
+3. a write enqueues the token into *every* queue if
+   ``min_k space_k > 0``, else it blocks.
 
 Fault detection (Section 3.3) replaces the blocking in rule 3: the queues
 were sized by Eq. 3 so that a healthy replica never lets its queue fill up;
@@ -21,8 +21,12 @@ no longer block on the faulty side, so the healthy replica keeps running.
 A second, "analogous" mechanism (the paper's threshold computation for the
 replicator channel) monitors the divergence of the replicas' *consumption*
 counts: if ``reads_i - reads_j > D`` then replica ``j`` is consuming too
-slowly and is flagged faulty.  Pass ``divergence_threshold=None`` to
-disable it and reproduce the occupancy-only variant.
+slowly and is flagged faulty.  With ``n > 2`` replicas every healthy
+replica that lags the healthy front by more than ``D`` is flagged, so the
+channel keeps serving the survivors down to the last one (``n`` replicas
+tolerate ``n - 1`` faults, the paper's Section 1 generalisation).  Pass
+``divergence_threshold=None`` to disable it and reproduce the
+occupancy-only variant.
 
 No wall-clock or virtual-time values are read by any detection rule —
 detection is purely counter-based, the paper's "no runtime time-keeping".
@@ -31,12 +35,14 @@ detection is purely counter-based, the paper's "no runtime time-keeping".
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, Optional, Sequence, Tuple
 
 from repro.core.detection import (
     MECHANISM_DIVERGENCE,
     MECHANISM_OVERFLOW,
     DetectionLog,
+    all_flagged_message,
+    lagging,
 )
 from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint
@@ -52,20 +58,21 @@ class ReplicatorChannel:
     name:
         Channel name.
     capacities:
-        ``(|R_1|, |R_2|)`` from Eq. 3.
+        ``(|R_1|, ..., |R_n|)`` from Eq. 3; their count is the number of
+        replicas ``n >= 2``.
     divergence_threshold:
         Optional integer ``D`` for consumption-divergence detection
         (Eq. 5 computed on the replica input curves); ``None`` disables.
     transfer_latency:
         Optional ``f(token) -> ms`` communication latency (SCC model).
     traces:
-        Optional pair of :class:`ChannelTrace` (one per queue).
+        Optional sequence of :class:`ChannelTrace` (one per queue).
     detection_log:
         Shared :class:`DetectionLog`; a fresh one is created if omitted.
     strict_single_fault:
-        When True (default), flagging *both* replicas faulty raises
-        :class:`SimulationError` — the paper's fault model admits at most
-        one permanent timing fault.
+        When True (default), flagging *every* replica faulty raises
+        :class:`SimulationError` — ``n`` replicas admit at most ``n - 1``
+        permanent timing faults (one in the paper's setup).
     op_cost:
         Optional callable invoked once per channel operation with the
         number of primitive counter updates performed; feeds the runtime
@@ -74,30 +81,37 @@ class ReplicatorChannel:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; when
         enabled, every committed operation samples the live ``space_k``
         levels (``chan.<name>.space_k``) and the consumption divergence
-        ``|reads_1 - reads_2|`` (``chan.<name>.divergence``) — the
-        quantity the Eq. 5 threshold ``D`` bounds at this channel.
+        ``max_k reads_k - min_k reads_k`` (``chan.<name>.divergence``,
+        ``|reads_1 - reads_2|`` for two replicas) — the quantity the
+        Eq. 5 threshold ``D`` bounds at this channel.
     """
 
     def __init__(
         self,
         name: str,
-        capacities: Tuple[int, int],
+        capacities: Sequence[int],
         divergence_threshold: Optional[int] = None,
         transfer_latency: Optional[Callable[[Token], float]] = None,
-        traces: Optional[Tuple[ChannelTrace, ChannelTrace]] = None,
+        traces: Optional[Sequence[ChannelTrace]] = None,
         detection_log: Optional[DetectionLog] = None,
         strict_single_fault: bool = True,
         op_cost: Optional[Callable[[int], None]] = None,
         metrics=None,
     ) -> None:
-        if len(capacities) != 2:
-            raise ValueError("replicator needs exactly two queue capacities")
+        if len(capacities) < 2:
+            raise ValueError("replicator needs at least two queue capacities")
         if any(c < 1 for c in capacities):
             raise ValueError("queue capacities must be >= 1")
         if divergence_threshold is not None and divergence_threshold < 1:
             raise ValueError("divergence threshold must be >= 1")
         self.name = name
         self.capacities = tuple(capacities)
+        self.n = n = len(self.capacities)
+        #: Replica indices, for the per-op loops.
+        self._replicas = tuple(range(n))
+        #: Counter updates per write: ``n`` space checks plus enqueue
+        #: bookkeeping (3 for the paper's two replicas).
+        self._updates_per_write = 1 + n
         self.threshold = divergence_threshold
         self._latency = transfer_latency
         self.traces = traces
@@ -106,24 +120,27 @@ class ReplicatorChannel:
         self.strict_single_fault = strict_single_fault
         self._op_cost = op_cost
         if metrics is not None and metrics.enabled:
-            self._m_space = (
-                metrics.timeseries(f"chan.{name}.space_1"),
-                metrics.timeseries(f"chan.{name}.space_2"),
+            self._m_space = tuple(
+                metrics.timeseries(f"chan.{name}.space_{k + 1}")
+                for k in self._replicas
             )
             self._m_div = metrics.timeseries(f"chan.{name}.divergence")
         else:
             self._m_space = None
             self._m_div = None
-        self._queues: Tuple[Deque, Deque] = (deque(), deque())
-        self.fault = [False, False]
-        self.reads = [0, 0]
+        self._queues: Tuple[Deque, ...] = tuple(deque() for _ in range(n))
+        self.fault = [False] * n
+        self.reads = [0] * n
         self.writes = 0
         #: Interface under post-countermeasure catch-up (see
-        #: :meth:`reprime`); consumption-divergence detection is muted
-        #: until the healthy replica's read counter catches back up.
+        #: :meth:`reprime`, two replicas only); consumption-divergence
+        #: detection is muted until the healthy replica's read counter
+        #: catches back up.
         self._recovering: Optional[int] = None
         self._sim = None
-        self._parked_readers: Tuple[Deque, Deque] = (deque(), deque())
+        self._parked_readers: Tuple[Deque, ...] = tuple(
+            deque() for _ in range(n)
+        )
         self._parked_writers: Deque = deque()
 
     # -- wiring -------------------------------------------------------------
@@ -138,9 +155,9 @@ class ReplicatorChannel:
         return WriteEndpoint(self, 0)
 
     def reader(self, replica: int) -> ReadEndpoint:
-        """The read endpoint of replica ``replica`` (0 or 1)."""
-        if replica not in (0, 1):
-            raise ValueError("replica index must be 0 or 1")
+        """The read endpoint of replica ``replica`` (``0 .. n-1``)."""
+        if replica not in self._replicas:
+            raise ValueError(f"replica index must be in 0..{self.n - 1}")
         return ReadEndpoint(self, replica)
 
     # -- state --------------------------------------------------------------
@@ -153,11 +170,6 @@ class ReplicatorChannel:
         """``space_k`` — free capacity of queue ``replica``."""
         return self.capacities[replica] - len(self._queues[replica])
 
-    @property
-    def any_fault(self) -> bool:
-        """True once any replica has been flagged."""
-        return any(self.fault)
-
     # -- detection helpers ------------------------------------------------
 
     def _charge(self, operations: int) -> None:
@@ -166,9 +178,9 @@ class ReplicatorChannel:
 
     def _sample(self, now: float) -> None:
         """Record the live occupancy and divergence signals (cold path)."""
-        self._m_space[0].append(now, self.space(0))
-        self._m_space[1].append(now, self.space(1))
-        self._m_div.append(now, abs(self.reads[0] - self.reads[1]))
+        for k, series in enumerate(self._m_space):
+            series.append(now, self.space(k))
+        self._m_div.append(now, max(self.reads) - min(self.reads))
 
     def _flag(self, replica: int, mechanism: str, now: float, detail: str) -> None:
         if self.fault[replica]:
@@ -177,8 +189,7 @@ class ReplicatorChannel:
         self.log.record(now, "replicator", replica, mechanism, detail)
         if self.strict_single_fault and all(self.fault):
             raise SimulationError(
-                f"{self.name}: both replicas flagged faulty — single-fault "
-                "assumption violated (or FIFO capacities under-sized)"
+                all_flagged_message(self.name, self.n, "FIFO capacities")
             )
         # The faulty queue will never be written again; a parked reader on
         # it would wait forever, which models the faulty replica stalling.
@@ -210,7 +221,14 @@ class ReplicatorChannel:
         bookkeeping, not divergence).  Occupancy-based detection stays
         armed throughout — a failed respawn fills the queue and is
         re-detected.  Returns the number of flushed tokens.
+
+        Recovery is defined for the paper's two replicas only; a channel
+        with ``n != 2`` replicas raises :class:`ValueError`.
         """
+        if self.n != 2:
+            raise ValueError(
+                f"recovery needs exactly two replicas, not {self.n}"
+            )
         if replica not in (0, 1):
             raise ValueError("replica index must be 0 or 1")
         flushed = len(self._queues[replica])
@@ -221,29 +239,34 @@ class ReplicatorChannel:
         return flushed
 
     def _check_divergence(self, now: float) -> None:
-        if (self.threshold is None or self.any_fault
-                or self._recovering is not None):
+        # Muted while a replica is recovering (two replicas only).  No
+        # replica can lag the healthy front by more than D while the
+        # spread over all of them is within D: the per-op fast path,
+        # one subtraction for the paper's pair (two max/min builtin
+        # calls per op measurably slow the stream workload).
+        threshold = self.threshold
+        if threshold is None or self._recovering is not None:
             return
-        gap = self.reads[0] - self.reads[1]
-        if gap > self.threshold:
+        reads = self.reads
+        if self.n == 2:
+            # A flagged replica leaves one healthy: nothing to compare.
+            if (-threshold <= reads[0] - reads[1] <= threshold
+                    or True in self.fault):
+                return
+        elif max(reads) - min(reads) <= threshold:
+            return
+        for k in lagging(reads, self.fault, threshold):
             self._flag(
-                1,
+                k,
                 MECHANISM_DIVERGENCE,
                 now,
-                f"reads={self.reads[0]}/{self.reads[1]} D={self.threshold}",
-            )
-        elif -gap > self.threshold:
-            self._flag(
-                0,
-                MECHANISM_DIVERGENCE,
-                now,
-                f"reads={self.reads[0]}/{self.reads[1]} D={self.threshold}",
+                f"reads={'/'.join(map(str, self.reads))} D={self.threshold}",
             )
 
     # -- channel protocol (engine-facing) -----------------------------------
 
     def poll_read(self, index: int, now: float):
-        if index not in (0, 1):
+        if index not in self._replicas:
             raise ProtocolError(f"{self.name}: bad read interface {index}")
         queue = self._queues[index]
         self._charge(1)  # fill/space update of one queue
@@ -269,10 +292,11 @@ class ReplicatorChannel:
     def poll_write(self, index: int, token: Token, now: float):
         if index != 0:
             raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self._charge(3)  # two space checks + enqueue bookkeeping
+        # n space checks + enqueue bookkeeping
+        self._charge(self._updates_per_write)
         # Occupancy-based detection (Section 3.3): a full healthy queue at a
         # write instant means that replica stopped (or slowed) consuming.
-        for k in (0, 1):
+        for k in self._replicas:
             if not self.fault[k] and self.space(k) == 0:
                 self._flag(
                     k,
@@ -280,7 +304,7 @@ class ReplicatorChannel:
                     now,
                     f"space_{k + 1}=0 at write of seq {token.seqno}",
                 )
-        targets = [k for k in (0, 1) if not self.fault[k]]
+        targets = [k for k in self._replicas if not self.fault[k]]
         if not targets:
             # Only reachable with strict_single_fault=False.
             return ("full", None)
@@ -318,7 +342,8 @@ class ReplicatorChannel:
                 sim.retry(handle)
 
     def __repr__(self) -> str:
+        fills = "/".join(str(len(queue)) for queue in self._queues)
         return (
-            f"ReplicatorChannel({self.name}, fills="
-            f"{self.fill(0)}/{self.fill(1)}, fault={self.fault})"
+            f"ReplicatorChannel({self.name}, fills={fills}, "
+            f"fault={self.fault})"
         )

@@ -1,17 +1,17 @@
 """The selector channel (Section 3.1, rules S1-S3; detection: Section 3.3).
 
-Two writing interfaces (one per replica), one reading interface (the
-consumer ``C``).  A *single* physical FIFO of size ``|S| = max(|S_1|,
-|S_2|)`` plus two virtual ``space`` counters:
+One writing interface per replica (two in the paper), one reading
+interface (the consumer ``C``).  A *single* physical FIFO of size
+``|S| = max_k |S_k|`` plus one virtual ``space`` counter per interface:
 
-1. ``fill = 0``, ``space_1 = |S_1|``, ``space_2 = |S_2|`` initially;
+1. ``fill = 0``, ``space_k = |S_k|`` initially;
 2. the read interface destructively and blockingly reads the FIFO; a read
-   increments *both* space variables and decrements ``fill``;
+   increments *every* healthy space variable and decrements ``fill``;
 3. a write on interface ``k`` blocks if ``space_k == 0``; otherwise, if
-   ``space_k <= space_other`` the token is enqueued (``fill += 1``) and
-   ``space_k -= 1``; else only ``space_k -= 1`` and the token is dropped —
-   it is the late member of a duplicate pair whose early member interface
-   ``other`` already queued.
+   ``space_k <= space_other`` for every other healthy interface the token
+   is enqueued (``fill += 1``) and ``space_k -= 1``; else only
+   ``space_k -= 1`` and the token is dropped — it is a late member of a
+   duplicate group whose early member another interface already queued.
 
 Because ``space_k`` is only ever decremented by interface ``k``'s own
 writes (and incremented by consumer reads), back-pressure on one replica is
@@ -25,21 +25,26 @@ Fault detection (Section 3.3), both purely counter-based:
   consumer and is faulty;
 * **divergence**: ``|space_1 - space_2| > D`` (with ``D`` from Eq. 5)
   means the replicas' cumulative outputs diverged beyond the fault-free
-  bound — the one with *larger* space (fewer writes) is faulty.
+  bound — the one with *larger* space (fewer writes) is faulty.  With
+  ``n > 2`` interfaces every healthy one that lags the healthy front by
+  more than ``D`` is flagged.
 
 After replica ``k`` is flagged, its writes are accepted and discarded
 (never blocking the limping replica) and its counters freeze; the healthy
-interface continues with plain single-queue semantics.
+interfaces carry on, a single survivor with plain single-queue semantics.
+``n`` replicas tolerate ``n - 1`` faults (the paper's Section 1
+generalisation); the paper's setup is ``n = 2``.
 
 The optional ``verify_duplicates`` mode additionally checks the paper's
 fail-silent assumption at runtime: the late member of each duplicate pair
 must carry the same payload as the early member (determinacy, Section 2).
+It checks while no replica is flagged.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +53,8 @@ from repro.core.detection import (
     MECHANISM_STALL,
     MECHANISM_VALUE,
     DetectionLog,
+    all_flagged_message,
+    lagging,
 )
 from repro.kpn.errors import ProtocolError, SimulationError
 from repro.kpn.channel import ReadEndpoint, WriteEndpoint
@@ -74,7 +81,8 @@ class SelectorChannel:
     name:
         Channel name.
     capacities:
-        ``(|S_1|, |S_2|)`` — per-interface virtual queue bounds.
+        ``(|S_1|, ..., |S_n|)`` — per-interface virtual queue bounds;
+        their count is the number of replicas ``n >= 2``.
     divergence_threshold:
         Integer ``D`` from Eq. 5; ``None`` disables divergence detection
         (stall detection remains).
@@ -87,7 +95,7 @@ class SelectorChannel:
     detection_log:
         Shared log; fresh one if omitted.
     strict_single_fault:
-        Raise if both replicas get flagged (default True).
+        Raise if every replica gets flagged (default True).
     verify_duplicates:
         Compare the payloads of duplicate pairs; a mismatch violates the
         fail-silent fault model and is logged (and raised).
@@ -101,8 +109,9 @@ class SelectorChannel:
         enabled, every committed operation samples the physical fill
         (``chan.<name>.fill``), the virtual ``space_k`` levels
         (``chan.<name>.space_k``), the live divergence
-        ``|writes_1 - writes_2|`` (``chan.<name>.divergence`` — the
-        Eq. 5 quantity) and, when a threshold is configured, the
+        ``max_k writes_k - min_k writes_k`` (``chan.<name>.divergence``,
+        ``|writes_1 - writes_2|`` for two replicas — the Eq. 5 quantity)
+        and, when a threshold is configured, the
         remaining headroom ``D - divergence``
         (``chan.<name>.headroom``).
     """
@@ -110,7 +119,7 @@ class SelectorChannel:
     def __init__(
         self,
         name: str,
-        capacities: Tuple[int, int],
+        capacities: Sequence[int],
         divergence_threshold: Optional[int] = None,
         transfer_latency: Optional[Callable[[Token], float]] = None,
         trace: Optional[ChannelTrace] = None,
@@ -122,18 +131,28 @@ class SelectorChannel:
         stall_detection: bool = True,
         metrics=None,
     ) -> None:
-        if len(capacities) != 2:
-            raise ValueError("selector needs exactly two virtual capacities")
+        if len(capacities) < 2:
+            raise ValueError("selector needs at least two virtual capacities")
         if any(c < 1 for c in capacities):
             raise ValueError("virtual capacities must be >= 1")
         if divergence_threshold is not None and divergence_threshold < 1:
             raise ValueError("divergence threshold must be >= 1")
         if len(priming_tokens) > min(capacities):
             raise ValueError(
-                "priming tokens exceed the smaller virtual capacity"
+                "priming tokens exceed the smallest virtual capacity"
             )
         self.name = name
         self.capacities = tuple(capacities)
+        self.n = n = len(self.capacities)
+        #: Interface indices, for the per-op loops.
+        self._replicas = tuple(range(n))
+        #: ``_others[k]``: every interface but ``k`` (rule 3's comparison).
+        self._others = tuple(
+            tuple(j for j in self._replicas if j != k) for k in self._replicas
+        )
+        #: Counter updates per operation: a fill update plus ``n`` space
+        #: updates or comparisons (3 for the paper's two replicas).
+        self._updates_per_op = 1 + n
         self.threshold = divergence_threshold
         self._latency = transfer_latency
         self.trace = trace
@@ -146,28 +165,25 @@ class SelectorChannel:
         self.fifo_size = max(capacities)
         # Priming tokens (Eq. 4 / the "Initial tokens" row of Table 2)
         # pre-fill the physical FIFO and count against both virtual
-        # queues, so both virtual fills start equal and the comparison in
-        # rule 3 remains a first-of-pair test from the very first token.
+        # queues, so all virtual fills start equal and the comparison in
+        # rule 3 remains a first-of-group test from the very first token.
         self._queue: Deque[Tuple[float, Token]] = deque(
             (0.0, token) for token in priming_tokens
         )
         self.priming = len(priming_tokens)
         self.fill = self.priming
-        self.space = [
-            capacities[0] - self.priming,
-            capacities[1] - self.priming,
-        ]
+        self.space = [c - self.priming for c in self.capacities]
         if trace is not None and self.priming:
             trace.preset_fill(self.priming)
-        self.fault = [False, False]
-        self.writes = [0, 0]
-        self.drops = [0, 0]
+        self.fault = [False] * n
+        self.writes = [0] * n
+        self.drops = [0] * n
         self.reads = 0
         if metrics is not None and metrics.enabled:
             self._m_fill = metrics.timeseries(f"chan.{name}.fill")
-            self._m_space = (
-                metrics.timeseries(f"chan.{name}.space_1"),
-                metrics.timeseries(f"chan.{name}.space_2"),
+            self._m_space = tuple(
+                metrics.timeseries(f"chan.{name}.space_{k + 1}")
+                for k in self._replicas
             )
             self._m_div = metrics.timeseries(f"chan.{name}.divergence")
             self._m_headroom = (
@@ -182,16 +198,20 @@ class SelectorChannel:
             self._m_space = None
             self._m_div = None
             self._m_headroom = None
-        self._pending_values: Dict[int, Any] = {}
+        #: ``verify_duplicates``: seqno -> [early value, late members due].
+        self._pending_values: Dict[int, list] = {}
         #: Interface under post-countermeasure handover (see
-        #: :meth:`begin_recovery`); ``_handover`` is the number of solo
-        #: writes the healthy interface owes before pairing resumes.
+        #: :meth:`begin_recovery`, two replicas only); ``_handover`` is
+        #: the number of solo writes the healthy interface owes before
+        #: pairing resumes.
         self._recovering: Optional[int] = None
         self._handover = 0
         self._on_recovered: Optional[Callable[[float], None]] = None
         self._sim = None
         self._parked_reader: Deque = deque()
-        self._parked_writers: Tuple[Deque, Deque] = (deque(), deque())
+        self._parked_writers: Tuple[Deque, ...] = tuple(
+            deque() for _ in range(n)
+        )
 
     # -- wiring -------------------------------------------------------------
 
@@ -200,20 +220,15 @@ class SelectorChannel:
         self._sim = sim
 
     def writer(self, replica: int) -> WriteEndpoint:
-        """The write endpoint of replica ``replica`` (0 or 1)."""
-        if replica not in (0, 1):
-            raise ValueError("replica index must be 0 or 1")
+        """The write endpoint of replica ``replica`` (``0 .. n-1``)."""
+        if replica not in self._replicas:
+            raise ValueError(f"replica index must be in 0..{self.n - 1}")
         return WriteEndpoint(self, replica)
 
     @property
     def reader(self) -> ReadEndpoint:
         """The consumer-facing read endpoint."""
         return ReadEndpoint(self, 0)
-
-    @property
-    def any_fault(self) -> bool:
-        """True once any replica has been flagged."""
-        return any(self.fault)
 
     # -- detection helpers ------------------------------------------------
 
@@ -224,9 +239,9 @@ class SelectorChannel:
     def _sample(self, now: float) -> None:
         """Record fill, spaces, divergence and headroom (cold path)."""
         self._m_fill.append(now, self.fill)
-        self._m_space[0].append(now, self.space[0])
-        self._m_space[1].append(now, self.space[1])
-        gap = abs(self.writes[0] - self.writes[1])
+        for series, space in zip(self._m_space, self.space):
+            series.append(now, space)
+        gap = max(self.writes) - min(self.writes)
         self._m_div.append(now, gap)
         if self._m_headroom is not None:
             self._m_headroom.append(now, self.threshold - gap)
@@ -239,8 +254,9 @@ class SelectorChannel:
         self._pending_values.clear()
         if self.strict_single_fault and all(self.fault):
             raise SimulationError(
-                f"{self.name}: both replicas flagged faulty — single-fault "
-                "assumption violated (or capacities/threshold under-sized)"
+                all_flagged_message(
+                    self.name, self.n, "capacities/threshold"
+                )
             )
         # The healthy interface may have been parked behind a space_k == 0
         # that a future read will clear; nothing else to do here.
@@ -282,7 +298,14 @@ class SelectorChannel:
         from the channel invariant ``space_k = |S_k| - priming -
         writes_k + reads``, the fault flag clears, and normal S1-S3
         pairing resumes with the very next token.
+
+        Recovery is defined for the paper's two replicas only; a channel
+        with ``n != 2`` replicas raises :class:`ValueError`.
         """
+        if self.n != 2:
+            raise ValueError(
+                f"recovery needs exactly two replicas, not {self.n}"
+            )
         if replica not in (0, 1):
             raise ValueError("replica index must be 0 or 1")
         if self._recovering is not None:
@@ -326,33 +349,40 @@ class SelectorChannel:
 
     def _check_divergence(self, now: float) -> None:
         # The quantity Eq. 5 bounds is the difference in the total number
-        # of tokens received over the two interfaces.  For equal virtual
+        # of tokens received over two interfaces.  For equal virtual
         # capacities it equals the paper's |space_1 - space_2|; tracking
         # the write counters directly keeps it correct for unequal
         # capacities too (|S_1| != |S_2| would otherwise bias the space
-        # difference by the constant |S_1| - |S_2|).
-        if self.threshold is None or self.any_fault:
+        # difference by the constant |S_1| - |S_2|).  A recovering
+        # interface stays flagged until its handover completes, so it is
+        # never a laggard (and with two replicas the check is then off).
+        # No interface can lag the healthy front by more than D while the
+        # spread over all of them is within D: the per-op fast path, one
+        # subtraction for the paper's pair.
+        threshold = self.threshold
+        if threshold is None:
             return
-        gap = self.writes[0] - self.writes[1]
-        if gap > self.threshold:
+        writes = self.writes
+        if self.n == 2:
+            # A flagged replica leaves one healthy: nothing to compare.
+            if (-threshold <= writes[0] - writes[1] <= threshold
+                    or True in self.fault):
+                return
+        elif max(writes) - min(writes) <= threshold:
+            return
+        for k in lagging(writes, self.fault, threshold):
             self._flag(
-                1,
+                k,
                 MECHANISM_DIVERGENCE,
                 now,
-                f"writes={self.writes[0]}/{self.writes[1]} D={self.threshold}",
-            )
-        elif -gap > self.threshold:
-            self._flag(
-                0,
-                MECHANISM_DIVERGENCE,
-                now,
-                f"writes={self.writes[0]}/{self.writes[1]} D={self.threshold}",
+                f"writes={'/'.join(map(str, self.writes))} "
+                f"D={self.threshold}",
             )
 
     def _check_stall(self, now: float) -> None:
         if not self.stall_detection:
             return
-        for k in (0, 1):
+        for k in self._replicas:
             if not self.fault[k] and self.space[k] > self.capacities[k]:
                 self._flag(
                     k,
@@ -366,9 +396,14 @@ class SelectorChannel:
                      late_interface: int) -> None:
         if not self.verify_duplicates:
             return
-        early_value = self._pending_values.pop(seqno, None)
-        if early_value is None:
+        pending = self._pending_values.get(seqno)
+        if pending is None:
             return
+        early_value, due = pending
+        if due == 1:
+            del self._pending_values[seqno]
+        else:
+            pending[1] = due - 1
         if not _values_equal(early_value, late_value):
             self.log.record(
                 now,
@@ -387,7 +422,7 @@ class SelectorChannel:
     def poll_read(self, index: int, now: float):
         if index != 0:
             raise ProtocolError(f"{self.name}: bad read interface {index}")
-        self._charge(3)  # fill decrement + two space increments
+        self._charge(self._updates_per_op)  # fill + n space increments
         if not self._queue:
             return ("empty", None)
         ready, token = self._queue[0]
@@ -396,7 +431,7 @@ class SelectorChannel:
         self._queue.popleft()
         self.fill -= 1
         self.reads += 1
-        for k in (0, 1):
+        for k in self._replicas:
             if not self.fault[k]:
                 self.space[k] += 1
         if self.trace is not None:
@@ -405,14 +440,15 @@ class SelectorChannel:
             self._sample(now)
         self._check_stall(now)
         self._check_divergence(now)
-        for k in (0, 1):
-            self._wake(self._parked_writers[k])
+        for parked in self._parked_writers:
+            self._wake(parked)
         return ("ok", token)
 
     def poll_write(self, index: int, token: Token, now: float):
-        if index not in (0, 1):
+        if index not in self._replicas:
             raise ProtocolError(f"{self.name}: bad write interface {index}")
-        self._charge(3)  # space compare + space decrement + fill update
+        # n - 1 space compares + space decrement + fill update
+        self._charge(self._updates_per_op)
         if self.fault[index]:
             # Isolation after detection: accept and discard, never block.
             self.drops[index] += 1
@@ -426,18 +462,24 @@ class SelectorChannel:
             return ("ok", None)
         if self.space[index] == 0:
             return ("full", None)
-        other = 1 - index
         # Enqueue iff this interface provides the *first* token of the
-        # current duplicate pair.  The first-of-pair writer has a virtual
-        # fill (|S_k| - space_k) at least as large as the other interface's;
-        # the late writer's is strictly smaller.  For |S_1| == |S_2| this is
-        # exactly the paper's rule "enqueue iff space_k <= space_other";
-        # with unequal capacities the fill comparison removes the constant
-        # capacity bias.
-        fill_self = self.capacities[index] - self.space[index]
-        fill_other = self.capacities[other] - self.space[other]
-        enqueue = self.fault[other] or fill_self >= fill_other
-        self.space[index] -= 1
+        # current duplicate group.  The first-of-group writer has a virtual
+        # fill (|S_k| - space_k) at least as large as every other healthy
+        # interface's; a late writer's is strictly smaller than the
+        # first's.  For |S_1| == |S_2| this is exactly the paper's rule
+        # "enqueue iff space_k <= space_other"; with unequal capacities
+        # the fill comparison removes the constant capacity bias.
+        capacities = self.capacities
+        space = self.space
+        fault = self.fault
+        fill_self = capacities[index] - space[index]
+        enqueue = True
+        for other in self._others[index]:
+            if (not fault[other]
+                    and capacities[other] - space[other] > fill_self):
+                enqueue = False
+                break
+        space[index] -= 1
         self.writes[index] += 1
         if enqueue:
             if self.fill >= self.fifo_size:
@@ -450,8 +492,8 @@ class SelectorChannel:
             self.fill += 1
             if self.trace is not None:
                 self.trace.on_write(now, token.seqno, index)
-            if self.verify_duplicates and not self.any_fault:
-                self._pending_values[token.seqno] = token.value
+            if self.verify_duplicates and True not in fault:
+                self._pending_values[token.seqno] = [token.value, self.n - 1]
             self._wake(self._parked_reader)
         else:
             self.drops[index] += 1

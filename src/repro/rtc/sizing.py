@@ -16,7 +16,8 @@ Implements the paper's Eqs. 3-8 on top of the curve solvers:
   specialisation;
 * :func:`size_duplicated_network` — the end-to-end computation producing a
   :class:`SizingResult` for a duplicated process network (the numbers in
-  the "Theoretical Capacity" rows of Table 2).
+  the "Theoretical Capacity" rows of Table 2), or for its ``n``-replica
+  generalisation.
 """
 
 from __future__ import annotations
@@ -190,7 +191,9 @@ def replicator_blocking_bound(
 class SizingResult:
     """All design-time numbers for one duplicated process network.
 
-    Attributes mirror the "Theoretical Capacity" block of Table 2:
+    Per-replica tuples have one entry per replica (two in the paper's
+    setup, ``n`` in its generalisation).  Attributes mirror the
+    "Theoretical Capacity" block of Table 2:
 
     * ``replicator_capacities[k]`` — ``|R_k|`` (Eq. 3 per replica);
     * ``selector_capacities[k]`` — ``|S_k|`` (per-interface virtual queue
@@ -205,9 +208,9 @@ class SizingResult:
       replicator (ms).
     """
 
-    replicator_capacities: Tuple[int, int]
-    selector_capacities: Tuple[int, int]
-    selector_initial_fill: Tuple[int, int]
+    replicator_capacities: Tuple[int, ...]
+    selector_capacities: Tuple[int, ...]
+    selector_initial_fill: Tuple[int, ...]
     selector_threshold: int
     replicator_threshold: int
     selector_detection_bound: float
@@ -215,8 +218,13 @@ class SizingResult:
     details: Dict[str, float] = field(default_factory=dict)
 
     @property
+    def n(self) -> int:
+        """Number of replicas."""
+        return len(self.replicator_capacities)
+
+    @property
     def selector_fifo_size(self) -> int:
-        """``|S| = max(|S_1|, |S_2|)`` — rule 1 of the selector."""
+        """``|S| = max_k |S_k|`` — rule 1 of the selector."""
         return max(self.selector_capacities)
 
     @property
@@ -224,20 +232,24 @@ class SizingResult:
         """Number of priming tokens pre-filled into the selector FIFO.
 
         Eq. 4 gives a per-replica requirement; a single shared FIFO must
-        pre-fill the maximum so the consumer's guarantee holds even when
-        the *other* replica is the one that failed at time zero.
+        pre-fill the maximum so the consumer's guarantee holds whichever
+        replicas failed at time zero.
         """
         return max(self.selector_initial_fill)
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary for table rendering."""
+        """Flat dictionary for table rendering (``|Rk|``, ``|Sk|`` and
+        ``|Sk|_0`` per replica, then the thresholds and bounds)."""
+        row: Dict[str, object] = {}
+        for key, values in (
+            ("|R{}|", self.replicator_capacities),
+            ("|S{}|", self.selector_capacities),
+            ("|S{}|_0", self.selector_initial_fill),
+        ):
+            for k, value in enumerate(values):
+                row[key.format(k + 1)] = value
         return {
-            "|R1|": self.replicator_capacities[0],
-            "|R2|": self.replicator_capacities[1],
-            "|S1|": self.selector_capacities[0],
-            "|S2|": self.selector_capacities[1],
-            "|S1|_0": self.selector_initial_fill[0],
-            "|S2|_0": self.selector_initial_fill[1],
+            **row,
             "D_selector": self.selector_threshold,
             "D_replicator": self.replicator_threshold,
             "selector_bound_ms": self.selector_detection_bound,
@@ -259,7 +271,9 @@ def size_duplicated_network(
     and production (``replica_outputs``), and the consumer's token
     consumption.  Returns the capacities, initial fills, thresholds and
     detection-latency bounds that parameterise the replicator and selector
-    channels.
+    channels.  The number of replicas is ``len(replica_inputs)`` (two in
+    the paper; ``n >= 2`` generalises Eq. 5 to all ordered replica pairs
+    and Eq. 8 to the slowest healthy replica).
 
     Results are memoized on the PJD parameter values (PJD is a frozen,
     hashable dataclass).  Each call returns a fresh :class:`SizingResult`
@@ -311,8 +325,10 @@ def _size_duplicated_network_impl(
     consumer: PJD,
     horizon: Optional[float],
 ) -> SizingResult:
-    if len(replica_inputs) != 2 or len(replica_outputs) != 2:
-        raise ValueError("exactly two replicas are supported (paper setup)")
+    if len(replica_inputs) != len(replica_outputs):
+        raise ValueError("replica input/output model counts differ")
+    if len(replica_inputs) < 2:
+        raise ValueError("need at least two replicas")
     producer_upper, producer_lower = producer.curves()
     consumer_upper, _consumer_lower = consumer.curves()
 

@@ -162,6 +162,22 @@ class TestExecution:
             assert shrink.target_oracles
         assert any("generated 3 scenarios" in m for m in messages)
 
+    def test_shrink_spends_its_runs_on_candidates(self):
+        # The main batch has judged every violated scenario, so its
+        # violations are the shrink baseline: a one-run budget judges one
+        # real (smaller) candidate instead of re-running the original.
+        config = CampaignConfig(seed=7, budget=0, self_tests=True,
+                                shrink=True, max_shrink_runs=1)
+        result = run_campaign(config)
+        assert len(result.shrunk) == 3
+        for outcome in result.outcomes:
+            shrink = result.shrunk[outcome.digest]
+            assert shrink.runs == 1
+            assert shrink.reduced and shrink.token_reduction > 0
+            assert shrink.target_oracles == tuple(
+                sorted({v.oracle for v in outcome.violations})
+            )
+
     def test_broken_countermeasure_self_test_trips_recovery_oracle(self):
         # Satellite of the recovery battery: the generator's broken
         # countermeasure self-test must be caught by the post-recovery-

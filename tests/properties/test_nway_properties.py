@@ -1,9 +1,10 @@
-"""Property-based tests of the n-way selector's merge invariants."""
+"""Property-based tests of the selector's merge invariants for n = 2..4
+writing interfaces."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.nway import NWaySelectorChannel
+from repro.core.selector import SelectorChannel
 from repro.kpn.tokens import Token
 
 
@@ -38,19 +39,13 @@ def drive(selector, n, steps):
     return received
 
 
-def _merge_only(selector):
-    selector._check_stall = lambda now: None
-    return selector
-
-
 @settings(max_examples=100)
 @given(nway_interleavings())
 def test_consumer_sees_each_group_once_in_order(case):
     n, steps = case
-    selector = _merge_only(
-        NWaySelectorChannel("sel", capacities=(6,) * n,
-                            divergence_threshold=None)
-    )
+    selector = SelectorChannel("sel", capacities=(6,) * n,
+                               divergence_threshold=None,
+                               stall_detection=False)
     received = drive(selector, n, steps)
     assert received == list(range(1, len(received) + 1))
 
@@ -59,10 +54,9 @@ def test_consumer_sees_each_group_once_in_order(case):
 @given(nway_interleavings())
 def test_exactly_one_kept_per_group(case):
     n, steps = case
-    selector = _merge_only(
-        NWaySelectorChannel("sel", capacities=(6,) * n,
-                            divergence_threshold=None)
-    )
+    selector = SelectorChannel("sel", capacities=(6,) * n,
+                               divergence_threshold=None,
+                               stall_detection=False)
     received = drive(selector, n, steps)
     kept = sum(selector.writes) - sum(selector.drops)
     assert kept == selector.fill + len(received)
@@ -75,10 +69,9 @@ def test_space_accounting_per_interface(case):
     """Lemma 1 generalised: space_k depends only on interface k's writes
     and the consumer's reads."""
     n, steps = case
-    selector = _merge_only(
-        NWaySelectorChannel("sel", capacities=(6,) * n,
-                            divergence_threshold=None)
-    )
+    selector = SelectorChannel("sel", capacities=(6,) * n,
+                               divergence_threshold=None,
+                               stall_detection=False)
     received = drive(selector, n, steps)
     for k in range(n):
         assert selector.space[k] == 6 - selector.writes[k] + len(received)

@@ -148,6 +148,12 @@ class TestSizeDuplicatedNetwork:
         # differs by the documented common-priming correction (5 vs 4).
         assert got["|S2|"] == 6
         assert got["|S1|"] == 5
+        # Table renderers rely on the key order.
+        assert list(got) == [
+            "|R1|", "|R2|", "|S1|", "|S2|", "|S1|_0", "|S2|_0",
+            "D_selector", "D_replicator", "selector_bound_ms",
+            "replicator_bound_ms",
+        ]
 
     def test_selector_fifo_is_max(self, mjpeg_sizing):
         assert mjpeg_sizing.selector_fifo_size == 6
